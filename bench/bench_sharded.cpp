@@ -179,8 +179,7 @@ void BM_ShardedPerEditView(benchmark::State& state, Stream stream, std::size_t s
 
 /// Threads-scaling on the persistent worker pool: a k=8 sharded engine with
 /// a WorkerPool of width t installed, so per-epoch repair fans dispatch to
-/// parked workers instead of forking an OpenMP team.  t=1 runs poolless
-/// (serial fan) and anchors the speedup ratio bench_diff.py reports for the
+/// its parked workers.  t=1 runs poolless (serial fan) and anchors the speedup ratio bench_diff.py reports for the
 /// /t2 /t4 /t8 keys.  CI records these to BENCH_pool.json; on a one-core
 /// runner the ratios sit near 1x (the fan is latency-, not
 /// bandwidth-bound there — see README "Parallel serving").

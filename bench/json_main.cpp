@@ -77,8 +77,8 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
         counters.emplace_back(key, counter.value);
       }
       // run.threads is google-benchmark's own threading (always 1 here);
-      // what perf trajectories care about is the OpenMP budget the solver
-      // ran under — the same value the table recorders log.
+      // what perf trajectories care about is the PRAM thread budget the
+      // solver ran under — the same value the table recorders log.
       sfcp::util::append_bench_record(path_, name, n, strategy, sfcp::pram::threads(), ms,
                                       profile, counters);
     }

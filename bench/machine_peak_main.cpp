@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "pram/config.hpp"
+#include "pram/parallel_for.hpp"
 #include "prof/clock.hpp"
 #include "prof/profile.hpp"
 #include "util/bench_json.hpp"
@@ -51,10 +52,7 @@ int main(int argc, char** argv) {
   sfcp::u64 best_ns = ~sfcp::u64{0};
   for (int r = 0; r <= reps; ++r) {  // rep 0 warms (page faults, pool spin-up)
     const sfcp::u64 t0 = sfcp::prof::now_ns();
-#pragma omp parallel for schedule(static)
-    for (long long i = 0; i < static_cast<long long>(n); ++i) {
-      a[i] = b[i] + s * c[i];
-    }
+    sfcp::pram::parallel_for(0, n, [&](std::size_t i) { a[i] = b[i] + s * c[i]; });
     const sfcp::u64 t1 = sfcp::prof::now_ns();
     if (r > 0 && t1 - t0 < best_ns) best_ns = t1 - t0;
   }

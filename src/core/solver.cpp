@@ -4,8 +4,6 @@
 #include <exception>
 #include <mutex>
 
-#include <omp.h>
-
 #include "pram/config.hpp"
 #include "pram/worker_pool.hpp"
 
@@ -36,7 +34,7 @@ std::vector<pram::MetricsSnapshot> Solver::solve_batch(
   if (m == 0) return {};
 
   // Validate everything up front so a malformed instance throws before any
-  // solving starts (and from the calling thread, not an OpenMP worker).
+  // solving starts (and from the calling thread, not a pool worker).
   // Charged to no sink: each instance's own validation inside solve() is
   // what its per-instance metrics report.
   {
@@ -46,88 +44,47 @@ std::vector<pram::MetricsSnapshot> Solver::solve_batch(
     for (const auto& inst : instances) graph::validate(inst);
   }
 
-  // With a session worker pool installed, fan the instances over its
-  // persistent workers instead of forking a nested OpenMP team: each
-  // instance solves serially on its lane (fleet floods have m >> width, so
-  // outer parallelism is all that matters) with per-instance metrics/seed,
-  // matching the OpenMP path's semantics including per-instance error
-  // capture.  Lanes own their workspaces, amortized across the batch.
-  if (pram::WorkerPool* pool = ctx_.pool;
-      pool != nullptr && m > 1 && !pram::WorkerPool::on_worker()) {
-    std::vector<pram::Metrics> sinks(m);
-    std::vector<SolveWorkspace> workspaces(static_cast<std::size_t>(pool->width()));
-    std::exception_ptr error;
-    std::mutex error_mu;
-    pool->fan(m, [&](std::size_t i) {
-      // Per-instance catch, exactly like the OpenMP path: one bad instance
-      // must not stop this lane from claiming the rest of the batch.
-      try {
-        pram::ExecutionContext local = ctx_;
-        local.threads = 1;
-        local.pool = nullptr;  // inner rounds stay on this lane
-        local.metrics = &sinks[i];
-        local.seed = ctx_.seed + static_cast<u64>(i);
-        pram::ScopedContext guard(&local);
-        // Caller lane is width()-1, workers are 0..width()-2.
-        const int lane = pram::WorkerPool::lane();
-        SolveWorkspace& ws =
-            workspaces[static_cast<std::size_t>(lane >= 0 ? lane : pool->width() - 1)];
-        Result r = core::solve(instances[i], opt_, ws);
-        consume(i, std::move(r), ws);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lk(error_mu);
-        if (!error) error = std::current_exception();
-      }
-    });
-    if (error) std::rethrow_exception(error);
-    std::vector<pram::MetricsSnapshot> out(m);
-    for (std::size_t i = 0; i < m; ++i) out[i] = sinks[i].snapshot();
-    return out;
+  // Fan the instances over the session pool: each solves serially on its
+  // lane, where threads() is pinned to 1 (fleet floods have m >> width, so
+  // outer parallelism is all that matters), with per-instance metrics and
+  // seed.  A lone instance, or a session of width 1, solves on the calling
+  // thread at the session width.  Lanes own their workspaces, amortized
+  // across the batch.
+  pram::WorkerPool* pool = nullptr;
+  if (m > 1) {
+    pram::ScopedContext session(&ctx_);
+    if (const int width = pram::threads(); width > 1) pool = &pram::session_pool(width);
   }
-
-  // Split the thread budget: outer workers across instances, the remainder
-  // inside each solve.  With more instances than threads each solve runs
-  // sequentially — the server-batch sweet spot.
-  int total = ctx_.threads;
-  if (total <= 0) {
-    pram::ScopedContext off(nullptr);  // read the process-wide default
-    total = pram::threads();
-  }
-  const int outer = std::max(1, static_cast<int>(std::min<std::size_t>(
-                                    static_cast<std::size_t>(total), m)));
-  const int inner = std::max(1, total / outer);
-  // The inner budget only takes effect if OpenMP allows a second level of
-  // parallel regions (the default max-active-levels is 1, which would
-  // silently serialize every solve inside the outer team).  The setting is
-  // process-global, so restore it after the batch rather than leaking
-  // nested-parallelism mode into unrelated caller code.
-  const int saved_levels = omp_get_max_active_levels();
-  const bool bump_levels = inner > 1 && saved_levels < 2;
-  if (bump_levels) omp_set_max_active_levels(2);
-
   std::vector<pram::Metrics> sinks(m);
-  std::vector<SolveWorkspace> workspaces(static_cast<std::size_t>(outer));
+  std::vector<SolveWorkspace> workspaces(pool != nullptr ? pool->width() : 1);
   std::exception_ptr error;
-
-#pragma omp parallel for num_threads(outer) schedule(dynamic, 1)
-  for (i64 i = 0; i < static_cast<i64>(m); ++i) {
+  std::mutex error_mu;
+  auto solve_one = [&](std::size_t i) {
+    // Per-instance catch: one bad instance must not stop this lane from
+    // claiming the rest of the batch.
     try {
       pram::ExecutionContext local = ctx_;
-      local.threads = inner;
-      local.metrics = &sinks[static_cast<std::size_t>(i)];
+      local.metrics = &sinks[i];
       local.seed = ctx_.seed + static_cast<u64>(i);
       pram::ScopedContext guard(&local);
-      SolveWorkspace& ws = workspaces[static_cast<std::size_t>(omp_get_thread_num())];
-      Result r = core::solve(instances[static_cast<std::size_t>(i)], opt_, ws);
-      // The consumer runs before this worker's workspace is overwritten by
+      // Workers are lanes 0..width()-2; the caller takes the last one.
+      const int lane = pool != nullptr ? pram::WorkerPool::lane() : -1;
+      SolveWorkspace& ws =
+          workspaces[lane >= 0 ? static_cast<std::size_t>(lane) : workspaces.size() - 1];
+      Result r = core::solve(instances[i], opt_, ws);
+      // The consumer runs before this lane's workspace is overwritten by
       // its next instance — the only window in which ws describes r.
-      consume(static_cast<std::size_t>(i), std::move(r), ws);
+      consume(i, std::move(r), ws);
     } catch (...) {
-#pragma omp critical(sfcp_solver_batch_error)
+      const std::lock_guard<std::mutex> lk(error_mu);
       if (!error) error = std::current_exception();
     }
+  };
+  if (pool != nullptr) {
+    pool->fan(m, solve_one);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) solve_one(i);
   }
-  if (bump_levels) omp_set_max_active_levels(saved_levels);
   if (error) std::rethrow_exception(error);
 
   std::vector<pram::MetricsSnapshot> out(m);

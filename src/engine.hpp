@@ -139,7 +139,8 @@ class Engine {
 
   /// Installs (or, with null, removes) a session worker pool on the
   /// engine's internal execution contexts, so its parallel rounds run on
-  /// persistent workers instead of fork-join teams (pram/worker_pool.hpp).
+  /// that pool instead of the calling thread's default pool
+  /// (pram/worker_pool.hpp).
   /// Engines hold context COPIES taken at construction, which is why the
   /// pool cannot ride in via the caller's thread-local context alone.  The
   /// pool must outlive the engine (or be uninstalled first); default no-op.

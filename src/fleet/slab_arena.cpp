@@ -20,8 +20,8 @@ std::size_t SlabArena::class_of_(std::size_t bytes, std::size_t align) noexcept 
 
 std::size_t SlabArena::home_stripe_() noexcept {
   // Pool workers home by lane so a lane's evict/fault churn stays on one
-  // stripe; everything else (the fleet caller, OpenMP team members) hashes
-  // its thread id, which is stable per thread and spreads across stripes.
+  // stripe; everything else (the fleet caller, other threads) hashes its
+  // thread id, which is stable per thread and spreads across stripes.
   const int lane = pram::pool_worker_lane();
   if (lane >= 0) return static_cast<std::size_t>(lane) & (kStripes - 1);
   return std::hash<std::thread::id>{}(std::this_thread::get_id()) & (kStripes - 1);

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "graph/functional_graph.hpp"
+#include "pram/crcw.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/integer_sort.hpp"
 #include "prim/scan.hpp"
@@ -41,7 +42,7 @@ void detect_powers(std::span<const u32> f, std::vector<u8>& on_cycle) {
   on_cycle.assign(n, 0);
   if (n == 0) return;
   const std::vector<u32> fn = iterate_function(f, std::bit_ceil(static_cast<u64>(n)));
-  pram::parallel_for(0, n, [&](std::size_t x) { on_cycle[fn[x]] = 1; });
+  pram::parallel_for(0, n, [&](std::size_t x) { pram::common_write(on_cycle[fn[x]], u8{1}); });
 }
 
 // Paper §5: Euler partition of the doubled pseudo-forest.

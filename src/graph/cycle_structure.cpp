@@ -104,7 +104,7 @@ void structure_doubling(std::span<const u32> f, std::span<const u8> known_flags,
     const u64 big = std::bit_ceil(static_cast<u64>(n));
     const std::vector<u32> fn = iterate_function(f, big);
     pram::parallel_for(0, n, [&](std::size_t x) {
-      cs.on_cycle[fn[x]] = 1;  // common-CRCW write
+      pram::common_write(cs.on_cycle[fn[x]], u8{1});
     });
   }
   // Leader = min id on the cycle, by min-propagation doubling.

@@ -2,10 +2,10 @@
 // Runtime configuration for the PRAM-style execution substrate.
 //
 // The paper's algorithms are stated for an arbitrary CRCW PRAM with up to n
-// processors.  We realize each PRAM round as an OpenMP parallel loop
-// (Brent's scheduling): `threads()` plays the role of p, and `grain()`
-// bounds the smallest chunk a thread will take so that tiny inputs do not
-// pay fork/join overhead.
+// processors.  We realize each PRAM round as one fan over a
+// pram::WorkerPool (Brent's scheduling): `threads()` plays the role of p,
+// and `grain()` bounds the smallest chunk a thread will take so that tiny
+// inputs do not pay dispatch overhead.
 //
 // Both knobs resolve through the thread-installed ExecutionContext first
 // (see pram/execution_context.hpp); the process-wide values below are the
@@ -13,16 +13,15 @@
 
 #include <algorithm>
 #include <cstddef>
-
-#include <omp.h>
+#include <thread>
 
 #include "pram/execution_context.hpp"
 
 namespace sfcp::pram {
 
-/// Process-wide default worker thread count (default: OpenMP's).
+/// Process-wide default worker thread count (default: the hardware's).
 inline int& thread_count_ref() noexcept {
-  static int count = omp_get_max_threads();
+  static int count = static_cast<int>(std::thread::hardware_concurrency());
   return count;
 }
 

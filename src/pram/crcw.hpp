@@ -43,6 +43,14 @@ void common_write(std::atomic<T>& cell, T value) noexcept {
   cell.store(value, std::memory_order_relaxed);
 }
 
+/// Common-CRCW write into a plain cell (e.g. an element of a flag vector):
+/// the same relaxed store through std::atomic_ref, so concurrent writers of
+/// one value are not a data race.
+template <typename T>
+void common_write(T& cell, T value) noexcept {
+  std::atomic_ref<T>(cell).store(value, std::memory_order_relaxed);
+}
+
 /// Arbitrary-CRCW min-combine (used by leader election): the cell converges
 /// to the minimum of all values written in the round.
 template <typename T>

@@ -6,9 +6,9 @@
 // thread budget, grain size, metrics sink, RNG seed — so that two callers
 // (e.g. two server requests) can run concurrently with different settings
 // without trampling each other.  A context is installed on the CURRENT
-// THREAD with ScopedContext; parallel_for/parallel_blocks re-install the
-// caller's context inside their OpenMP workers, so per-element charging in
-// parallel bodies reaches the right sink.
+// THREAD with ScopedContext; pool workers re-install the caller's context
+// around every task, so per-element charging in parallel bodies reaches the
+// right sink.
 //
 // Resolution order for every knob: installed context first (field != 0 /
 // non-null), then the process-wide defaults in pram/config.hpp.  The old
@@ -55,12 +55,11 @@ struct ExecutionContext {
   /// time by components that keep long-lived per-node arrays (the
   /// incremental solver); transient scratch stays on the heap regardless.
   Arena* arena = nullptr;
-  /// Persistent worker pool (pram/worker_pool.hpp).  When non-null,
-  /// parallel_for/parallel_blocks/parallel_fan dispatch to the pool's
-  /// long-lived workers instead of forking an OpenMP team per round; null
-  /// keeps the fork-join OpenMP path.  The pool is NOT owned by the
-  /// context: whoever installs it (serve::Server, a bench, a test) must
-  /// keep it alive for as long as any context copy pointing at it is used.
+  /// Worker pool the session's parallel rounds run on
+  /// (pram/worker_pool.hpp).  Null means the calling thread's default pool
+  /// (see session_pool()).  The pool is NOT owned by the context: whoever
+  /// installs it (serve::Server, a bench, a test) must keep it alive for as
+  /// long as any context copy pointing at it is used.
   WorkerPool* pool = nullptr;
 
   ExecutionContext& with_threads(int t) noexcept {
@@ -123,14 +122,6 @@ inline u64 session_seed() noexcept {
   return c ? c->seed : kDefaultSeed;
 }
 
-/// The worker pool of the installed context, or null (no pool installed /
-/// no context).  There is deliberately no process-wide fallback: a pool is
-/// session state, owned by whoever built the context.
-inline WorkerPool* session_pool() noexcept {
-  const ExecutionContext* c = current_context();
-  return c ? c->pool : nullptr;
-}
-
 /// True when the calling thread is a pram::WorkerPool worker.
 inline bool on_pool_worker() noexcept { return detail::tls_pool_worker; }
 
@@ -150,7 +141,7 @@ inline bool in_pool_inline() noexcept { return detail::tls_pool_inline > 0; }
 /// mutations of the original are not seen).  The pointer form rebinds
 /// without copying — null means "no context: revert to process defaults
 /// within the scope" — and the pointee must outlive the guard; it is what
-/// parallel_for workers and the Solver use.
+/// pool workers and the Solver use.
 class ScopedContext {
  public:
   explicit ScopedContext(const ExecutionContext& ctx) noexcept

@@ -1,28 +1,22 @@
 #pragma once
-// Parallel loop wrappers realizing PRAM rounds on OpenMP or a WorkerPool.
+// Parallel loop wrappers realizing PRAM rounds on a WorkerPool.
 //
 // `parallel_for(lo, hi, body)` runs body(i) for i in [lo, hi) and counts one
 // synchronous round of (hi - lo) operations.  Small ranges run sequentially
-// (still counted) to avoid fork/join overhead dominating measurements.
+// (still counted) to avoid dispatch overhead dominating measurements.
 //
-// When the installed ExecutionContext carries a pram::WorkerPool, every
-// loop here dispatches to the pool's persistent workers instead of forking
-// an OpenMP team — that is the serving path, where many small rounds per
-// epoch make team startup the dominant cost.  Without a pool the OpenMP
-// fork-join realization below is used, unchanged.  On a pool WORKER thread
-// `threads()` is pinned to 1 (config.hpp), so nested rounds inside a
-// pooled round run serially by construction: no oversubscription, and
-// work/depth charges match a threads=1 session exactly.
+// Every parallel round is one fan over session_pool(): the installed
+// ExecutionContext's pool, else the calling thread's default pool.  On a
+// pool WORKER thread, and while the coordinator runs a pool task inline,
+// `threads()` is pinned to 1 (config.hpp), so nested rounds inside a pooled
+// round run serially by construction: no oversubscription, and work/depth
+// charges match a threads=1 session exactly.
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 
-#include <omp.h>
-
 #include "pram/config.hpp"
-#include "pram/execution_context.hpp"
 #include "pram/metrics.hpp"
 #include "pram/worker_pool.hpp"
 
@@ -53,31 +47,16 @@ void parallel_for(std::size_t lo, std::size_t hi, Body&& body) {
     for (std::size_t i = lo; i < hi; ++i) body(i);
     return;
   }
-  if (WorkerPool* pool = session_pool()) {
-    const int nb = num_blocks(n);
-    pool->fan(static_cast<std::size_t>(nb), [&](std::size_t b) {
-      const auto [blo, bhi] = block_range(n, nb, static_cast<int>(b));
-      for (std::size_t i = lo + blo; i < lo + bhi; ++i) body(i);
-    });
-    return;
-  }
-  // OpenMP workers are pool threads with their own thread-locals: rebind the
-  // caller's ExecutionContext so charging inside `body` hits its sink.
-  const ExecutionContext* ctx = current_context();
-#pragma omp parallel num_threads(nt)
-  {
-    ScopedContext rebind(ctx);
-#pragma omp for schedule(static)
-    for (std::int64_t i = static_cast<std::int64_t>(lo); i < static_cast<std::int64_t>(hi); ++i) {
-      body(static_cast<std::size_t>(i));
-    }
-  }
+  const int nb = num_blocks(n);
+  session_pool(nt).fan(static_cast<std::size_t>(nb), [&](std::size_t b) {
+    const auto [blo, bhi] = block_range(n, nb, static_cast<int>(b));
+    for (std::size_t i = lo + blo; i < lo + bhi; ++i) body(i);
+  });
 }
 
 /// Blocked variant: body(block_index, lo, hi) — one contiguous block per
 /// worker, the shape used by scan/sort-style two-pass kernels.  Every block
-/// in [0, num_blocks(n)) runs exactly once regardless of how many threads
-/// the runtime actually delivers.
+/// in [0, num_blocks(n)) runs exactly once.
 template <typename Body>
 void parallel_blocks(std::size_t n, Body&& body) {
   if (n == 0) return;
@@ -87,56 +66,10 @@ void parallel_blocks(std::size_t n, Body&& body) {
     body(0, std::size_t{0}, n);
     return;
   }
-  if (WorkerPool* pool = session_pool()) {
-    pool->fan(static_cast<std::size_t>(nb), [&](std::size_t b) {
-      const auto [lo, hi] = block_range(n, nb, static_cast<int>(b));
-      if (lo < hi) body(static_cast<int>(b), lo, hi);
-    });
-    return;
-  }
-  const ExecutionContext* ctx = current_context();
-#pragma omp parallel num_threads(nb)
-  {
-    ScopedContext rebind(ctx);
-    // The runtime may deliver FEWER than nb threads (OMP_THREAD_LIMIT,
-    // omp_set_dynamic, nested regions).  Workshare the block ids instead of
-    // binding block b to thread b, so a short team still runs every block.
-#pragma omp for schedule(static)
-    for (int b = 0; b < nb; ++b) {
-      const auto [lo, hi] = block_range(n, nb, b);
-      if (lo < hi) body(b, lo, hi);
-    }
-  }
-}
-
-/// Task-shaped fan: body(i) for i in [0, count), one task per index with
-/// dynamic assignment — the shape of "repair these k dirty shards" where
-/// per-item cost is wildly uneven (unlike the element loops above).  Counts
-/// one round of `count` operations.  Serial when count or the session width
-/// is 1, or on a pool worker (nested fans are one PRAM processor).
-template <typename Body>
-void parallel_fan(std::size_t count, Body&& body) {
-  if (count == 0) return;
-  charge_round(count);
-  const int nt = threads();
-  if (count == 1 || nt == 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  if (WorkerPool* pool = session_pool()) {
-    pool->fan(count, body);
-    return;
-  }
-  const ExecutionContext* ctx = current_context();
-  const int team = static_cast<int>(std::min<std::size_t>(static_cast<std::size_t>(nt), count));
-#pragma omp parallel num_threads(team)
-  {
-    ScopedContext rebind(ctx);
-#pragma omp for schedule(dynamic, 1)
-    for (std::int64_t i = 0; i < static_cast<std::int64_t>(count); ++i) {
-      body(static_cast<std::size_t>(i));
-    }
-  }
+  session_pool(threads()).fan(static_cast<std::size_t>(nb), [&](std::size_t b) {
+    const auto [lo, hi] = block_range(n, nb, static_cast<int>(b));
+    if (lo < hi) body(static_cast<int>(b), lo, hi);
+  });
 }
 
 }  // namespace sfcp::pram

@@ -3,7 +3,7 @@
 // the closest this reproduction gets to running the 1993 pseudocode as-is.
 //
 // Each builder returns a self-contained program (round function + memory
-// layout + termination predicate) for pram::Simulator.  The OpenMP library
+// layout + termination predicate) for pram::Simulator.  The pooled library
 // code computes the same results fast; these programs exist to measure the
 // paper's claims in the paper's own cost model: exact synchronous rounds
 // and processor activations, under the exact write discipline.

@@ -1,8 +1,8 @@
 #pragma once
 // An explicit PRAM step simulator.
 //
-// The production code paths of this library run on OpenMP (pram/parallel_for)
-// and only *account* PRAM work.  This module complements them with a faithful
+// The production code paths of this library run on a worker pool
+// (pram/parallel_for) and only *account* PRAM work.  This module complements them with a faithful
 // executable model of the machine the paper states its bounds on: P
 // processors over a shared memory, advancing in synchronous rounds of
 //

@@ -1,6 +1,9 @@
 #include "pram/worker_pool.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "pram/config.hpp"
@@ -19,10 +22,30 @@ inline void cpu_relax() noexcept {
 #endif
 }
 
-/// Iterations each side spins before falling back to the condvar.  Small on
-/// purpose: on an undersized machine (CI runners are often 1-2 cores) a
-/// parked worker beats a spinning one.
-constexpr int kSpinIters = 256;
+/// How long each side waits for work before parking on the condvar.  A
+/// parked worker costs the next round a condvar wake, which on a virtual
+/// machine runs to tens of microseconds, and the solve interleaves its
+/// rounds with serial stretches of up to about a millisecond (allocating
+/// and filling n-sized arrays).  For kPauseFor the wait is a tight pause
+/// loop; after that it yields between checks, so a waiting thread hands
+/// its CPU to any runnable thread on an oversubscribed machine.
+constexpr std::chrono::microseconds kSpinFor{1000};
+constexpr std::chrono::microseconds kPauseFor{50};
+
+/// Waits until `ready()` holds or kSpinFor has passed; returns ready().
+template <typename Ready>
+bool spin_until(Ready ready) {
+  const auto start = std::chrono::steady_clock::now();
+  for (;;) {
+    for (int i = 0; i < 64; ++i) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    const auto waited = std::chrono::steady_clock::now() - start;
+    if (waited >= kSpinFor) return ready();
+    if (waited >= kPauseFor) std::this_thread::yield();
+  }
+}
 
 /// Marks the scope where the coordinator runs a pool task inline (caller
 /// lane inside wait(), ring-full/degenerate submit fallback, its share of a
@@ -94,12 +117,7 @@ void WorkerPool::worker_main_(int lane_idx) {
       run_task_(t);
       continue;
     }
-    bool got = false;
-    for (int i = 0; i < kSpinIters && !got; ++i) {
-      cpu_relax();
-      got = try_pop_(lane, t);
-    }
-    if (got) {
+    if (spin_until([&] { return try_pop_(lane, t); })) {
       run_task_(t);
       continue;
     }
@@ -219,15 +237,10 @@ void WorkerPool::wait() {
   }
   caller_q_.clear();
   caller_pos_ = 0;
-  if (outstanding_.load(std::memory_order_acquire) != 0) {
-    for (int i = 0; i < kSpinIters; ++i) {
-      cpu_relax();
-      if (outstanding_.load(std::memory_order_acquire) == 0) break;
-    }
-    if (outstanding_.load(std::memory_order_acquire) != 0) {
-      std::unique_lock<std::mutex> lk(done_mu_);
-      done_cv_.wait(lk, [&] { return outstanding_.load(std::memory_order_acquire) == 0; });
-    }
+  const auto done = [&] { return outstanding_.load(std::memory_order_acquire) == 0; };
+  if (!spin_until(done)) {
+    std::unique_lock<std::mutex> lk(done_mu_);
+    done_cv_.wait(lk, done);
   }
   std::exception_ptr err;
   {
@@ -281,6 +294,37 @@ void WorkerPool::run_fan_(FanJob& job) {
     record_error_(std::current_exception());
   }
   wait();
+}
+
+namespace {
+
+/// A thread's default pool and the process that built it.
+struct DefaultPool {
+  std::unique_ptr<WorkerPool> pool;
+  pid_t owner = 0;
+  /// A pool inherited through fork() has no workers in this process, and
+  /// joining them would hang: drop it unjoined.
+  void forget_if_forked() {
+    if (owner != ::getpid()) (void)pool.release();
+  }
+  ~DefaultPool() { forget_if_forked(); }
+};
+
+thread_local DefaultPool tls_default_pool;
+
+}  // namespace
+
+WorkerPool& session_pool(int width) {
+  if (const ExecutionContext* c = current_context(); c != nullptr && c->pool != nullptr) {
+    return *c->pool;
+  }
+  DefaultPool& d = tls_default_pool;
+  d.forget_if_forked();
+  if (d.pool == nullptr || d.pool->width() < width) {
+    d.pool = std::make_unique<WorkerPool>(width);
+    d.owner = ::getpid();
+  }
+  return *d.pool;
 }
 
 }  // namespace sfcp::pram

@@ -1,14 +1,11 @@
 #pragma once
-// worker_pool.hpp — persistent worker pool behind pram's parallel loops.
+// worker_pool.hpp — the persistent worker pool every PRAM round runs on.
 //
-// The OpenMP realization of a PRAM round (pram/parallel_for.hpp) forks and
-// joins a thread team on EVERY loop.  That is fine for one long batch solve
-// but dominates the serving path, where ShardedEngine::apply() runs many
-// small repair fans per epoch.  A WorkerPool keeps `threads - 1` workers
-// alive for the whole session: each worker parks on a condvar between
-// epochs, is fed from its own single-producer/single-consumer task ring,
-// and installs its execution context once at spawn — so dispatching a
-// round costs two atomic stores per task instead of a team start.
+// A WorkerPool keeps `threads - 1` workers alive for the whole session:
+// each worker spins briefly and then parks on a condvar between rounds, is
+// fed from its own single-producer/single-consumer task ring, and installs
+// its execution context once at spawn — so dispatching a round costs two
+// atomic stores per task instead of a thread start.
 //
 // Surfaces, lowest to highest level:
 //
@@ -46,11 +43,10 @@
 // wait() drains; a sequence abandoned without wait() leaks its error into
 // the next, unrelated wait() on the pool.
 //
-// parallel_for / parallel_blocks / parallel_fan route here transparently
-// when the installed ExecutionContext carries a pool (execution_context
-// `pool` field); the OpenMP fork-join path remains the default and the
-// fallback, so batch-oriented callers (core::Solver::solve) are unchanged
-// unless a pool is installed.
+// parallel_for / parallel_blocks run every round on session_pool(): the
+// pool of the installed ExecutionContext, else the calling thread's own
+// default pool.  A default pool belongs to one thread, so that thread is
+// its one coordinator and the SPSC contract holds without a lock.
 
 #include <array>
 #include <atomic>
@@ -199,5 +195,13 @@ class WorkerPool {
   std::mutex err_mu_;
   std::exception_ptr first_error_;
 };
+
+/// The pool the calling thread's rounds run on: the installed context's
+/// `pool` if set, else this thread's default pool.  The default pool is
+/// built on the thread's first call and rebuilt wider whenever a call asks
+/// for more than its width, so it has the widest `width` the thread ever
+/// requested.  In a process forked after the pool was built, the pool's
+/// workers do not exist: it is dropped unjoined and a new one is built.
+WorkerPool& session_pool(int width);
 
 }  // namespace sfcp::pram

@@ -14,11 +14,10 @@
 // level-synchronously, ping-ponging between the input and one buffer: each
 // width-doubling level is ONE parallel round (p blocks of the output, each
 // block walking the run pairs it overlaps via merge-path co-ranking — the
-// blocked p-way structure of omp_par::merge_sort), not one fork-join per
-// pair.  O(n log n) work, O(log^2 n) depth (vs Cole's O(log n); the
+// blocked p-way structure of pvfmm's parallel merge sort), not one round
+// per pair.  O(n log n) work, O(log^2 n) depth (vs Cole's O(log n); the
 // difference is immaterial on a fixed-core host and is recorded in
-// DESIGN.md).  On a serving session with a pram::WorkerPool installed the
-// per-level rounds dispatch to the persistent workers.
+// DESIGN.md).  Each per-level round runs on the session's worker pool.
 //
 // Both are stable: ties prefer elements of `a` (merge) / earlier input
 // positions (sort).

@@ -46,10 +46,10 @@ struct ServerOptions {
 
   /// Worker-pool width for epoch applies (pram/worker_pool.hpp): the server
   /// owns a persistent pool and installs it on its engine/fleet, so
-  /// per-epoch repair fans run on long-lived workers instead of forking an
-  /// OpenMP team per apply().  -1 = auto (session pram::threads(); no pool
-  /// when that is 1), 0/1 = never pool, >= 2 = exactly that width
-  /// (including the event-loop thread as one lane).
+  /// per-epoch repair fans run on workers the server sizes and owns.
+  /// -1 = auto (session pram::threads(); no pool when that is 1), 0/1 =
+  /// never pool (rounds use the event-loop thread's default pool), >= 2 =
+  /// exactly that width (including the event-loop thread as one lane).
   int pool_threads = -1;
 };
 

@@ -145,18 +145,18 @@ void ShardedEngine::apply_segment_(std::span<const inc::Edit> seg) {
     inc::apply_raw(e, inst_.f, inst_.b);  // keep the global instance current
   }
   {
-    // Shards repair concurrently; each shard solver re-installs its own
-    // context inside apply(), so charging lands in the session's (atomic)
-    // sink.  With a session pool the repairs enqueue straight onto the
-    // persistent workers, keyed by shard id so a shard's repairs revisit
-    // the lane whose cache already holds it; without one, parallel_fan
-    // forks a task-shaped OpenMP team (one task per dirty shard — no more
-    // grain=1 context-clone workaround).  Inner solver loops never nest
-    // parallelism: threads() pins to 1 on pool workers AND on the
-    // coordinator whenever it runs a repair inline (caller-lane shards in
-    // wait(), ring-full fallback) — that pin matters because the solver's
-    // own installed context carries the pool, so a super-grain repair on
-    // the caller lane would otherwise re-enter the pool mid-wait().
+    // Shards repair concurrently, one round of one task per dirty shard;
+    // each shard solver re-installs its own context inside apply(), so
+    // charging lands in the session's (atomic) sink.  The repairs enqueue
+    // on the session pool keyed by shard id, so a shard's repairs revisit
+    // the lane whose cache already holds it.  Nothing nests: threads()
+    // pins to 1 on pool workers (this engine inside a fleet lane repairs
+    // its shards serially right here, never touching the coordinator-only
+    // wait()) AND on the coordinator whenever it runs a repair inline
+    // (caller-lane shards in wait(), ring-full fallback) — that pin matters
+    // because the solver's own installed context carries the pool, so a
+    // super-grain repair on the caller lane would otherwise re-enter the
+    // pool mid-wait().
     pram::ScopedContext guard(&ctx_);
     const std::size_t active = active_buf_.size();
     auto repair_one = [&](std::size_t idx) {
@@ -166,15 +166,15 @@ void ShardedEngine::apply_segment_(std::span<const inc::Edit> seg) {
       const u32 s = active_buf_[idx];
       shards_[s].solver->apply(bucket_buf_[s]);
     };
-    pram::WorkerPool* pool = ctx_.pool;
-    if (pool != nullptr && active > 1 && !pram::WorkerPool::on_worker()) {
-      pram::charge_round(active);
+    pram::charge_round(active);
+    if (const int width = pram::threads(); active > 1 && width > 1) {
+      pram::WorkerPool& pool = pram::session_pool(width);
       for (std::size_t idx = 0; idx < active; ++idx) {
-        pool->submit(static_cast<std::size_t>(active_buf_[idx]), repair_one, idx);
+        pool.submit(static_cast<std::size_t>(active_buf_[idx]), repair_one, idx);
       }
-      pool->wait();
+      pool.wait();
     } else {
-      pram::parallel_fan(active, repair_one);
+      for (std::size_t idx = 0; idx < active; ++idx) repair_one(idx);
     }
   }
   for (const u32 s : active_buf_) {

@@ -201,9 +201,9 @@ class ShardedEngine final : public Engine {
   inc::ViewDelta take_view_delta() override;
 
   /// Installs the session worker pool on the engine context AND every warm
-  /// shard solver, so dirty-shard repairs enqueue straight onto persistent
-  /// workers (one SPSC lane per `shard % pool->width()`) instead of paying
-  /// an OpenMP team start per apply().  Shards built later (reshard,
+  /// shard solver, so dirty-shard repairs enqueue onto its persistent
+  /// workers (one SPSC lane per `shard % pool->width()`) instead of the
+  /// calling thread's default pool.  Shards built later (reshard,
   /// migration, load) inherit it via ctx_.
   void install_pool(pram::WorkerPool* pool) override;
 

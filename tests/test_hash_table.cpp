@@ -1,10 +1,10 @@
 // Unit tests for the concurrent insert-or-get table (BB-table emulation).
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <set>
+#include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "prim/hash_table.hpp"
 #include "util/random.hpp"
@@ -59,19 +59,21 @@ TEST(HashTable, ConcurrentInsertConsistency) {
   const int n_keys = 64;
   const std::size_t per_thread = 20000;
   prim::ConcurrentPairMap table(1 << 12);
-  std::vector<std::vector<std::pair<u64, u32>>> observed(
-      static_cast<std::size_t>(omp_get_max_threads()) + 4);
-#pragma omp parallel num_threads(4)
-  {
-    const int tid = omp_get_thread_num();
-    util::Rng rng(1000 + tid);
-    auto& obs = observed[tid];
-    for (std::size_t i = 0; i < per_thread; ++i) {
-      const u64 key = rng.below(n_keys);
-      const u32 val = static_cast<u32>(tid * per_thread + i + 1);
-      obs.emplace_back(key, table.insert_or_get(key, val));
-    }
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::pair<u64, u32>>> observed(kThreads);
+  std::vector<std::thread> threads;
+  for (int tid = 0; tid < kThreads; ++tid) {
+    threads.emplace_back([&, tid] {
+      util::Rng rng(1000 + tid);
+      auto& obs = observed[static_cast<std::size_t>(tid)];
+      for (std::size_t i = 0; i < per_thread; ++i) {
+        const u64 key = rng.below(n_keys);
+        const u32 val = static_cast<u32>(tid * per_thread + i + 1);
+        obs.emplace_back(key, table.insert_or_get(key, val));
+      }
+    });
   }
+  for (std::thread& t : threads) t.join();
   for (const auto& obs : observed) {
     for (const auto& [key, val] : obs) {
       EXPECT_EQ(table.find(key), val) << "key " << key;

@@ -1,16 +1,13 @@
 // The persistent worker pool behind pram's parallel loops: coverage and
 // exactly-once execution, slot→lane affinity, exception propagation,
 // nested-parallelism rules (a pool worker is one PRAM processor), pool
-// routing of parallel_for/parallel_blocks, and — the serving-path
-// contract — shard repairs charging the same work/depth at threads=8 on
-// the pool as at threads=1.
-//
-// The ParallelBlocksThreadLimit suite also runs as a dedicated ctest entry
-// with OMP_THREAD_LIMIT=2 pinned (see CMakeLists.txt): before the `#pragma
-// omp for` fix, parallel_blocks bound block b to omp_get_thread_num()==b
-// and silently DROPPED blocks whenever the runtime delivered a smaller
-// team than num_threads(nb) requested.
+// routing of parallel_for/parallel_blocks, the per-thread default pool
+// (including across fork()), and — the serving-path contract — shard
+// repairs charging the same work/depth at threads=8 on the pool as at
+// threads=1.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -30,6 +27,16 @@
 #include "shard/sharded_engine.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+// ForkedChildRunsRoundsOnItsOwnDefaultPool starts a pool worker in a child
+// forked from a multithreaded parent, which ThreadSanitizer refuses unless
+// told otherwise.  The child runs one round and exits.
+extern "C" __attribute__((no_sanitize_thread, used, visibility("default"))) const char*
+__tsan_default_options() {
+  return "die_after_fork=0";
+}
+#endif
 
 namespace sfcp {
 namespace {
@@ -205,20 +212,22 @@ TEST(WorkerPool, ParallelBlocksOnPoolRunsEveryBlock) {
   for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(elem_hits[i].load(), 1) << "element " << i;
 }
 
-// ---- parallel_blocks under a short-changed OpenMP team --------------------
+// ---- parallel_blocks on a pool narrower than the round --------------------
 //
-// Also registered as ctest entry `parallel_blocks_thread_limit` with
-// OMP_THREAD_LIMIT=2: the runtime then delivers at most 2 threads to the
-// nb=8 region, and every block must still run (the pre-fix code dropped
-// blocks 2..7).  Without the env pin the suite still verifies coverage.
+// The session asks for 8 threads, so a round splits into 8 blocks, but the
+// installed pool is only 2 wide.  Every block must still run exactly once:
+// block b is an item of the fan, not bound to the thread that claims it.
 
 TEST(ParallelBlocksThreadLimit, AllBlocksRunWithSmallTeam) {
+  pram::WorkerPool pool(2);
   pram::ExecutionContext ctx;
   ctx.threads = 8;
   ctx.grain = 4;  // n=64 with grain 4 and 8 threads -> nb = 8
+  ctx.pool = &pool;
   pram::ScopedContext guard(&ctx);
   constexpr std::size_t kN = 64;
   ASSERT_EQ(pram::num_blocks(kN), 8);
+  ASSERT_EQ(pool.width(), 2);
   std::vector<std::atomic<int>> block_hits(8);
   std::vector<std::atomic<int>> elem_hits(kN);
   pram::parallel_blocks(kN, [&](int b, std::size_t lo, std::size_t hi) {
@@ -232,12 +241,14 @@ TEST(ParallelBlocksThreadLimit, AllBlocksRunWithSmallTeam) {
 }
 
 TEST(ParallelBlocksThreadLimit, ScanStyleTwoPassStaysConsistent) {
-  // The shape that made the bug fatal: a counting pass writing per-block
-  // columns followed by a serial combine.  Dropped blocks leave zero
-  // columns and a silently wrong total.
+  // The scan/sort kernel shape: a pass writing per-block partial sums,
+  // then a serial combine.  A dropped block leaves a zero column and a
+  // silently wrong total.
+  pram::WorkerPool pool(2);
   pram::ExecutionContext ctx;
   ctx.threads = 8;
   ctx.grain = 8;
+  ctx.pool = &pool;
   pram::ScopedContext guard(&ctx);
   constexpr std::size_t kN = 64;
   const int nb = pram::num_blocks(kN);
@@ -250,6 +261,36 @@ TEST(ParallelBlocksThreadLimit, ScanStyleTwoPassStaysConsistent) {
   });
   const u64 total = std::accumulate(partial.begin(), partial.end(), u64{0});
   EXPECT_EQ(total, u64{kN} * (kN - 1) / 2);
+}
+
+TEST(WorkerPool, ForkedChildRunsRoundsOnItsOwnDefaultPool) {
+  // The parent's rounds run on its thread's default pool, whose worker
+  // thread a forked child does not inherit.  The child must build a pool
+  // of its own instead of waiting forever on the parent's workers.
+  pram::ExecutionContext ctx;
+  ctx.threads = 2;
+  pram::ScopedContext guard(&ctx);
+  constexpr std::size_t kN = 1 << 16;  // past the grain: a pooled round
+  std::vector<u32> out(kN, 0);
+  const auto round = [&](u32 scale) {
+    pram::parallel_for(0, kN, [&](std::size_t i) { out[i] = static_cast<u32>(i) * scale; });
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (out[i] != static_cast<u32>(i) * scale) return false;
+    }
+    return true;
+  };
+  ASSERT_TRUE(round(3));
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::alarm(5);  // a hang dies by SIGALRM instead of stalling the suite
+    ::_exit(round(5) ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal " << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "child computed a wrong round";
+  EXPECT_TRUE(round(7)) << "parent's pool broken after the fork";
 }
 
 // ---- determinism of the pooled shard repair path --------------------------
