@@ -1,7 +1,7 @@
 // incremental_server — a REPL-style serving loop that now talks `sfcp-wire
 // v1` to an in-process serve::Server: load or generate an instance once,
 // pick an engine from sfcp::engines() ("incremental" repairs per edit,
-// "batch" re-solves per epoch, "sharded" splits by component), and the REPL
+// "batch" re-solves per epoch), and the REPL
 // drives edits and queries through a serve::Client — the exact same frames
 // (and the exact same command dispatcher, serve/repl.hpp) that `sfcp_cli
 // connect` uses against a remote server.  Pipe a script in, or drive it
@@ -20,7 +20,7 @@
 //   checkpoint written to warm.ckpt at epoch 1
 //
 // Lifecycle commands (local): gen <random|permutation|mergeable|longtail> <n> [seed]
-//           engine <incremental|batch|sharded>  (selects engine; restarts server)
+//           engine <incremental|batch>  (selects engine; restarts server)
 //           load <path>            (text or binary instance, autodetected)
 //           save <path> [binary]   (instance only, from the local mirror)
 //           restore <path>         (restart warm from an sfcp-checkpoint v1)
@@ -53,7 +53,7 @@ namespace {
 void print_lifecycle_help() {
   std::cout << "lifecycle commands (local):\n"
                "  gen <random|permutation|mergeable|longtail> <n> [seed]\n"
-               "  engine <incremental|batch|sharded>  select engine kind (restarts server)\n"
+               "  engine <incremental|batch>  select engine kind (restarts server)\n"
                "  load <path>              load instance (text/binary autodetect)\n"
                "  save <path> [binary]     save current instance (local mirror)\n"
                "  restore <path>           restart warm from a checkpoint\n"
@@ -216,7 +216,6 @@ int main() {
           std::cout << "cannot open " << path << "\n";
           continue;
         }
-        // Autodetects plain vs. sharded checkpoints from the magic.
         LoadedEngine loaded = load_engine_checkpoint(is);
         engine_kind = std::string(loaded.kind);
         session.start(std::move(loaded.engine));

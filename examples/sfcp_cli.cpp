@@ -7,9 +7,8 @@
 //   $ ./sfcp_cli solve instance.txt --strategy sequential
 //   $ ./sfcp_cli solve instance.txt --strategy powers-jump-double --threads 2
 //   $ ./sfcp_cli solve instance.txt --engine incremental
-//   $ ./sfcp_cli solve instance.txt --engine sharded --shards 4
 //   $ ./sfcp_cli solve instance.txt --engine incremental --policy adaptive
-//   $ ./sfcp_cli solve instance.txt --engine sharded --max-dirty-fraction 0.1
+//   $ ./sfcp_cli solve instance.txt --engine incremental --max-dirty-fraction 0.1
 //   $ ./sfcp_cli solve --help                        # full option list
 //   $ ./sfcp_cli classes instance.txt 5             # largest Q-classes
 //   $ ./sfcp_cli strategies                         # list registry entries
@@ -89,25 +88,22 @@ void print_solve_help() {
          "  --threads <t>             worker threads for the session (0 = library default)\n"
          "  --engine <kind>           serving engine (see 'sfcp_cli engines'): 'batch' (one\n"
          "                            lazy solve), 'incremental' (per-edit repair, warm\n"
-         "                            state), 'sharded' (component-parallel shards behind a\n"
-         "                            per-class reconciliation merge).  Default 'batch'.\n"
-         "  --shards <k>              shard count; implies --engine sharded\n"
-         "  --policy static|adaptive  repair-vs-rebuild (and, for sharded, migrate-vs-\n"
-         "                            reshard) policy mode.  'static' trusts the dirty-\n"
-         "                            fraction thresholds; 'adaptive' fits the crossover\n"
+         "                            state).  Default 'batch'.\n"
+         "  --policy static|adaptive  repair-vs-rebuild policy mode.  'static' trusts the\n"
+         "                            dirty-fraction thresholds; 'adaptive' fits the crossover\n"
          "                            online from observed per-delta costs (EWMA of wall ns\n"
          "                            per dirty node vs. ns per rebuild, pram::CostModel).\n"
-         "                            Needs --engine incremental or sharded.\n"
+         "                            Needs --engine incremental.\n"
          "  --max-dirty-fraction <f>  static repair budget: repair iff the dirty region is\n"
          "                            at most max(64, f * n) nodes (default 0.25); also the\n"
          "                            fallback while an adaptive fit converges.  Needs\n"
-         "                            --engine incremental or sharded.\n"
+         "                            --engine incremental.\n"
          "  --profile                 print the per-phase profile tree after the summary\n"
          "                            (needs a -DSFCP_PROFILE=ON build to carry data)\n";
 }
 
 int cmd_solve(const std::string& path, const std::string& strategy, int threads,
-              const std::string& engine_kind, std::size_t shards, bool adaptive,
+              const std::string& engine_kind, bool adaptive,
               double max_dirty_fraction, bool profile) {
   auto inst = util::load_instance_file(path);
   const std::size_t n = inst.size();
@@ -121,19 +117,11 @@ int cmd_solve(const std::string& path, const std::string& strategy, int threads,
   repair.adaptive = adaptive;
   if (max_dirty_fraction >= 0.0) repair.max_dirty_fraction = max_dirty_fraction;
   // Programs against the engine facade: the same lines serve "batch" (one
-  // solve), "incremental" (solve + warm repair state for edits) and
-  // "sharded" (component-parallel shards; --shards overrides the default k).
-  // Engines that own a policy are built directly so --policy and
-  // --max-dirty-fraction reach them.
+  // solve) and "incremental" (solve + warm repair state for edits).  The
+  // engine that owns a policy is built directly so --policy and
+  // --max-dirty-fraction reach it.
   std::unique_ptr<Engine> engine;
-  if (engine_kind == "sharded") {
-    shard::ShardOptions sopt;
-    if (shards > 0) sopt.shards = shards;
-    sopt.repair = repair;
-    sopt.reshard.adaptive = adaptive;
-    engine = std::make_unique<shard::ShardedEngine>(std::move(inst),
-                                                    sfcp::registry().at(strategy), ctx, sopt);
-  } else if (engine_kind == "incremental") {
+  if (engine_kind == "incremental") {
     engine = std::make_unique<IncrementalEngine>(std::move(inst),
                                                  sfcp::registry().at(strategy), ctx, repair);
   } else {
@@ -145,8 +133,6 @@ int cmd_solve(const std::string& path, const std::string& strategy, int threads,
   std::cout << "n=" << n << "  engine=" << engine->kind() << "  strategy=" << strategy
             << "  classes=" << v.num_classes() << "  cycles=" << c.num_cycles
             << "  cycle_nodes=" << c.cycle_nodes;
-  const EngineStats es = engine->serving_stats();
-  if (es.shards > 0) std::cout << "  shards=" << es.shards;
   if (engine_kind != "batch") {
     std::cout << "  policy=" << (adaptive ? "adaptive" : "static");
   }
@@ -490,9 +476,7 @@ int main(int argc, char** argv) {
       }
       std::string strategy = "parallel";
       std::string engine = "batch";
-      bool engine_set = false;
       int threads = 0;
-      std::size_t shards = 0;  // 0 = engine default; > 0 selects "sharded"
       bool adaptive = false;
       bool policy_set = false;
       bool profile = false;
@@ -508,11 +492,8 @@ int main(int argc, char** argv) {
           strategy = argv[++i];
         } else if (arg == "--engine" && i + 1 < argc) {
           engine = argv[++i];
-          engine_set = true;
         } else if (arg == "--threads" && i + 1 < argc) {
           threads = std::atoi(argv[++i]);
-        } else if (arg == "--shards" && i + 1 < argc) {
-          shards = std::strtoul(argv[++i], nullptr, 10);
         } else if (arg == "--policy" && i + 1 < argc) {
           const std::string mode = argv[++i];
           if (mode == "adaptive") {
@@ -538,19 +519,12 @@ int main(int argc, char** argv) {
           return 2;
         }
       }
-      // A bare --shards implies the sharded engine; combined with an
-      // explicit different --engine it is a contradiction, not an override.
-      if (shards > 0 && engine_set && engine != "sharded") {
-        std::cerr << "--shards only applies to --engine sharded\n";
+      // The policy lives in the repair engine; "batch" has none.
+      if (policy_set && engine != "incremental") {
+        std::cerr << "--policy/--max-dirty-fraction need --engine incremental\n";
         return 2;
       }
-      if (shards > 0) engine = "sharded";
-      // Policies live in the repair/reshard engines; "batch" has none.
-      if (policy_set && engine != "incremental" && engine != "sharded") {
-        std::cerr << "--policy/--max-dirty-fraction need --engine incremental or sharded\n";
-        return 2;
-      }
-      return cmd_solve(argv[2], strategy, threads, engine, shards, adaptive,
+      return cmd_solve(argv[2], strategy, threads, engine, adaptive,
                        max_dirty_fraction, profile);
     }
     if (cmd == "classes") {

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "shard/sharded_engine.hpp"
 #include "util/io.hpp"
 
 namespace sfcp {
@@ -93,9 +92,6 @@ LoadedEngine load_engine_checkpoint(std::istream& is, core::Options opt,
                 inc::IncrementalSolver::load_body(is, opt, ctx, {})),
             "incremental"};
   }
-  if (std::memcmp(magic, util::checkpoint_sharded_magic().data(), 8) == 0) {
-    return {shard::ShardedEngine::load_body(is, opt, ctx, {}), "sharded"};
-  }
   throw std::runtime_error(
       "load_engine_checkpoint: bad magic (expected an sfcp-checkpoint v1 stream)");
 }
@@ -148,14 +144,6 @@ EngineRegistry& engines() {
            [](graph::Instance inst, const core::Options& opt,
               const pram::ExecutionContext& ctx) -> std::unique_ptr<Engine> {
              return std::make_unique<IncrementalEngine>(std::move(inst), opt, ctx);
-           }});
-    r.add({"sharded",
-           "component-sharded parallel repair, k=8 incremental shards behind a cross-shard "
-           "class-reconciliation merge (shard::ShardedEngine); best for multi-component "
-           "edit streams",
-           [](graph::Instance inst, const core::Options& opt,
-              const pram::ExecutionContext& ctx) -> std::unique_ptr<Engine> {
-             return std::make_unique<shard::ShardedEngine>(std::move(inst), opt, ctx);
            }});
     return r;
   }();

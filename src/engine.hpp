@@ -41,25 +41,12 @@ namespace sfcp {
 /// metrics surface front ends (incremental_server `stats`, sfcp_cli) read.
 /// Every layer fills the fields it owns and leaves the rest zero: a
 /// BatchEngine only counts edits, an IncrementalEngine adds repair deltas
-/// and the repair-policy fit, a ShardedEngine additionally reports its
-/// merge-layer and reshard-policy counters.
+/// and the repair-policy fit.
 struct EngineStats {
-  inc::EditStats edits;      ///< edit outcomes (sharded: summed over shards)
-  inc::DeltaStats deltas;    ///< flushed repair deltas (sharded: summed)
+  inc::EditStats edits;      ///< edit outcomes
+  inc::DeltaStats deltas;    ///< flushed repair deltas
   bool adaptive_repair = false;   ///< repair policy runs in adaptive mode
-  pram::CostModel repair_fit{};   ///< repair-vs-rebuild fit (most-informed shard)
-
-  // Sharded layer:
-  std::size_t shards = 0;
-  u64 cross_shard_edits = 0;
-  u64 migrations = 0;
-  u64 reshards = 0;
-  u64 shard_merges = 0;
-  u64 full_merges = 0;
-  u64 merge_touched_classes = 0;
-  u64 merge_touched_nodes = 0;
-  bool adaptive_reshard = false;  ///< reshard policy runs in adaptive mode
-  pram::CostModel reshard_fit{};  ///< migrate-vs-reshard fit
+  pram::CostModel repair_fit{};   ///< repair-vs-rebuild fit
 
   /// Merged phase-profile snapshot of the session profiler at the time of
   /// the stats call (prof/profile.hpp).  Empty unless the build has
@@ -257,14 +244,13 @@ std::unique_ptr<Engine> load_incremental_engine(std::istream& is,
 /// re-sniffing the bytes.
 struct LoadedEngine {
   std::unique_ptr<Engine> engine;
-  std::string_view kind;  ///< engines() registry name ("incremental", "sharded")
+  std::string_view kind;  ///< engines() registry name ("incremental")
 };
 
-/// Restores whichever checkpointable engine wrote the stream, autodetected
-/// from the 8-byte magic: the plain `sfcp-checkpoint v1` magic yields an
-/// IncrementalEngine, the sharded magic a shard::ShardedEngine (with the
-/// stream's shard count and assignment).  Throws std::runtime_error on an
-/// unrecognized magic or malformed stream.
+/// Restores whichever checkpointable engine wrote the stream, detected from
+/// the 8-byte magic: the `sfcp-checkpoint v1` magic yields an
+/// IncrementalEngine.  Throws std::runtime_error on any other magic or a
+/// malformed stream.
 LoadedEngine load_engine_checkpoint(std::istream& is,
                                     core::Options opt = core::Options::parallel(),
                                     pram::ExecutionContext ctx = {});

@@ -38,15 +38,11 @@ FleetEngine::FleetEngine(FleetConfig cfg)
       if (name.size() < 7 || name.front() != 'i' || !name.ends_with(".ckpt")) continue;
       const std::string digits = name.substr(1, name.size() - 6);
       InstanceId id = 0;
-      bool ok = !digits.empty();
-      for (const char c : digits) {
-        if (c < '0' || c > '9') {
-          ok = false;
-          break;
-        }
-        id = id * 10 + static_cast<InstanceId>(c - '0');
-      }
-      if (!ok || find_(id) != kNil) continue;
+      for (const char c : digits) id = id * 10 + static_cast<InstanceId>(c - '0');
+      // Adopt only canonical names, the ones spill_path_(id) maps back to:
+      // a non-digit, a leading zero or an id past InstanceId's range never
+      // round-trips, and would alias another id's spill path.
+      if (std::to_string(id) != digits || find_(id) != kNil) continue;
       Slot& s = slots_[add_slot_(id)];
       s.set_tier(Tier::Cold);
       s.on_disk = true;

@@ -33,7 +33,7 @@
 // time.  Internally the cold-start batch fans out across solver threads,
 // and — when a worker pool is installed — apply_batch() fans the WARM path
 // too: each distinct instance's edit bucket runs on pool lane
-// `slot % width` (the shard-affinity trick from shard::ShardedEngine), and
+// `slot % width` (so an instance always repairs on the same lane), and
 // one epoch barrier (WorkerPool::wait) closes the batch, so the one-caller
 // Engine contract holds PER INSTANCE while different tenants repair
 // concurrently.  Everything that mutates fleet-wide state — routing-table
@@ -72,9 +72,9 @@ namespace sfcp::fleet {
 using InstanceId = u64;
 
 struct FleetConfig {
-  /// engines() registry name every instance runs ("incremental", "batch",
-  /// "sharded").  Incremental and batch kinds take the batched cold-start
-  /// path; other kinds construct per instance.
+  /// engines() registry name every instance runs ("incremental" or
+  /// "batch").  Both take the batched cold-start path; kinds added to the
+  /// registry later construct per instance.
   std::string engine = "incremental";
   core::Options options = core::Options::parallel();
   /// Template execution context for per-instance engines; the fleet injects

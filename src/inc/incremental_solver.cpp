@@ -162,17 +162,6 @@ void IncrementalSolver::mark_full_delta_() {
   delta_touched_.clear();
 }
 
-IncrementalSolver::CycleClassRef IncrementalSolver::cycle_class_of(u32 v) const {
-  const u32 id = cycle_id_.at(v);
-  if (id == kNone) {
-    throw std::invalid_argument("IncrementalSolver::cycle_class_of: node " +
-                                std::to_string(v) + " is not on a cycle");
-  }
-  const CycleRec& rec = cycles_.at(id);
-  const CycleClass& cls = classes_.at(*rec.key);
-  return CycleClassRef{std::span<const u32>(*rec.key), std::span<const u32>(cls.labels)};
-}
-
 void IncrementalSolver::validate_edit_(const Edit& e) const {
   validate_edit(e, inst_.size(), "IncrementalSolver");
 }

@@ -42,10 +42,9 @@
 // (see inc/repair_delta.hpp).  view() flushes that delta and publishes
 // exactly its node list as a COW patch on the previous view, so after k
 // localized edits a view costs O(dirty) instead of the O(n)
-// recanonicalization snapshot() used to pay; merge layers (the sharded
-// engine) instead flush via take_delta() and update their cross-shard maps
-// at O(dirty classes).  Views are snapshots: a reader's view is untouched
-// by later edits.
+// recanonicalization snapshot() used to pay; take_delta() flushes the
+// same record without publishing a view.  Views are snapshots: a reader's
+// view is untouched by later edits.
 //
 // Why consumers may skip "resized" classes: a raw label's identity — its
 // (B, Q∘f) signature for tree classes, its reduced cycle string and phase
@@ -128,17 +127,6 @@ struct EditStats {
   u64 dirty_nodes = 0;      ///< total nodes relabelled by repairs
   u64 cycles_created = 0;   ///< cycles formed by repairs
   u64 cycles_destroyed = 0; ///< cycles broken by repairs
-
-  /// Aggregation across solvers (the sharded engine sums its shards).
-  EditStats& operator+=(const EditStats& o) noexcept {
-    edits += o.edits;
-    repairs += o.repairs;
-    rebuilds += o.rebuilds;
-    dirty_nodes += o.dirty_nodes;
-    cycles_created += o.cycles_created;
-    cycles_destroyed += o.cycles_destroyed;
-    return *this;
-  }
 };
 
 class IncrementalSolver {
@@ -200,8 +188,7 @@ class IncrementalSolver {
                                 pram::ExecutionContext ctx = {}, RepairPolicy policy = {});
 
   /// load() for dispatchers that already consumed and checked the 8-byte
-  /// checkpoint magic (sfcp::load_engine_checkpoint autodetects the plain
-  /// vs. sharded flavour from it).
+  /// checkpoint magic (sfcp::load_engine_checkpoint).
   static IncrementalSolver load_body(std::istream& is,
                                      core::Options opt = core::Options::parallel(),
                                      pram::ExecutionContext ctx = {}, RepairPolicy policy = {});
@@ -240,24 +227,10 @@ class IncrementalSolver {
   /// maintained, consulted by the policy only in adaptive mode.
   const pram::CostModel& cost_model() const noexcept { return cost_fit_; }
 
-  // ---- reconciliation probes (merge layers, e.g. shard::ShardedEngine) ---
+  // ---- raw-state probes ---------------------------------------------------
 
   /// Exclusive upper bound on raw label values (labels() entries).
   u32 label_bound() const noexcept { return next_label_; }
-
-  /// Whether node v currently lies on a cycle.
-  bool node_on_cycle(u32 v) const { return on_cycle_.at(v) != 0; }
-
-  /// The reduced cycle class of a cycle node: key is the canonical
-  /// (period-reduced, minimally rotated) B-string, labels the raw label of
-  /// each phase — key[t] is the B value of the class labelled labels[t].
-  /// The spans alias solver internals and are invalidated by the next edit.
-  /// Throws std::out_of_range / std::invalid_argument for tree nodes.
-  struct CycleClassRef {
-    std::span<const u32> key;
-    std::span<const u32> labels;
-  };
-  CycleClassRef cycle_class_of(u32 v) const;
 
   /// Solve-shaped counters of the current partition, without building a
   /// view (what view() would stamp on one).

@@ -23,14 +23,13 @@
 //                        refresh from scratch.
 //
 // Consumers: core::PartitionView COW patch chains are built from
-// delta.nodes (PartitionView::patched_from_delta); shard::ShardedEngine
-// updates its cross-shard reconciliation maps from the created/destroyed
-// lists, making merge maintenance O(dirty classes) instead of O(dirty
-// shards); adaptive policies fit their crossovers from the per-delta cost
-// observations (pram::CostModel).
+// delta.nodes (PartitionView::patched_from_delta); the adaptive repair
+// policy fits its crossover from the per-delta cost observations
+// (pram::CostModel); the class lists let a consumer update per-class state
+// at O(dirty classes).
 //
-// Kept dependency-free (std + pram/types only), like inc::Edit, so merge
-// layers and tooling can speak deltas without pulling in the solver.
+// Kept dependency-free (std + pram/types only), like inc::Edit, so tooling
+// can speak deltas without pulling in the solver.
 
 #include <cstddef>
 #include <vector>
@@ -88,17 +87,6 @@ struct DeltaStats {
   u64 classes_created = 0;    ///< created classes across flushed windows
   u64 classes_destroyed = 0;  ///< destroyed classes across flushed windows
   u64 classes_resized = 0;    ///< resized classes across flushed windows
-
-  /// Aggregation across solvers (the sharded engine sums its shards).
-  DeltaStats& operator+=(const DeltaStats& o) noexcept {
-    windows += o.windows;
-    full += o.full;
-    nodes += o.nodes;
-    classes_created += o.classes_created;
-    classes_destroyed += o.classes_destroyed;
-    classes_resized += o.classes_resized;
-    return *this;
-  }
 };
 
 }  // namespace sfcp::inc

@@ -106,9 +106,9 @@ inline thread_local int tls_pool_lane = -1;
 /// ring-full/degenerate submit fallbacks, its own share of a fan).  Nonzero
 /// pins threads() to 1 exactly like tls_pool_worker does on workers: an
 /// inline task is one PRAM processor, whatever session contexts it installs
-/// internally (shard solvers install their own, pool pointer included), so
-/// its nested rounds must run serial instead of re-entering the pool whose
-/// wait() is live further up this very stack.
+/// internally (fleet tenants' solvers install their own, pool pointer
+/// included), so its nested rounds must run serial instead of re-entering
+/// the pool whose wait() is live further up this very stack.
 inline thread_local int tls_pool_inline = 0;
 }  // namespace detail
 

@@ -16,13 +16,12 @@
 namespace sfcp::pram {
 
 /// Online EWMA fit of the two sides of an incremental-vs-full crossover
-/// (repair-vs-rebuild for inc::RepairPolicy, migrate-vs-reshard for
-/// shard::ReshardPolicy).  The engines feed it one observation per repair
-/// delta — cost of the incremental path per dirty unit, or cost of one
-/// full rebuild — and adaptive policies read the fitted crossover back as
-/// their dirty budget.  Costs are wall-clock nanoseconds (what a serving
-/// loop actually pays); the totals are also charged to the Metrics sink so
-/// sessions can audit the fit.
+/// (repair-vs-rebuild for inc::RepairPolicy).  The engine feeds it one
+/// observation per repair delta — cost of the incremental path per dirty
+/// unit, or cost of one full rebuild — and the adaptive policy reads the
+/// fitted crossover back as its dirty budget.  Costs are wall-clock
+/// nanoseconds (what a serving loop actually pays); the totals are also
+/// charged to the Metrics sink so sessions can audit the fit.
 struct CostModel {
   double unit_cost = 0.0;  ///< EWMA cost per dirty unit on the incremental path
   double full_cost = 0.0;  ///< EWMA cost of one full rebuild
@@ -54,8 +53,8 @@ struct CostModel {
   }
 
   /// The fitted crossover as a policy budget: clamped to [min_absolute, n],
-  /// `fallback` while the fit has not converged.  The one conversion both
-  /// adaptive policies (inc::RepairPolicy, shard::ReshardPolicy) share.
+  /// `fallback` while the fit has not converged (inc::RepairPolicy's
+  /// adaptive budget).
   std::size_t budget(std::size_t n, std::size_t min_absolute,
                      std::size_t fallback) const noexcept {
     if (!fitted()) return fallback;

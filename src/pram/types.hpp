@@ -30,9 +30,8 @@ inline constexpr u64 pack_pair(u32 hi, u32 lo) noexcept {
 inline constexpr u32 pair_hi(u64 key) noexcept { return static_cast<u32>(key >> 32); }
 inline constexpr u32 pair_lo(u64 key) noexcept { return static_cast<u32>(key); }
 
-/// Splitmix-style hash for u32 sequences — the map key of both the
-/// incremental solver's and the sharded merge layer's reduced-cycle-string
-/// maps (one definition so the mixing can never diverge between them).
+/// Splitmix-style hash for u32 sequences — the map key of the incremental
+/// solver's reduced-cycle-string map.
 struct U32VecHash {
   std::size_t operator()(const std::vector<u32>& v) const noexcept {
     u64 h = 0x9e3779b97f4a7c15ull ^ (static_cast<u64>(v.size()) * 0xbf58476d1ce4e5b9ull);

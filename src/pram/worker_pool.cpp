@@ -50,7 +50,7 @@ bool spin_until(Ready ready) {
 /// Marks the scope where the coordinator runs a pool task inline (caller
 /// lane inside wait(), ring-full/degenerate submit fallback, its share of a
 /// fan).  Pins pram::threads() to 1 and makes submit/fan treat this thread
-/// like a worker, so any parallel round the task runs nested — a shard
+/// like a worker, so any parallel round the task runs nested — a tenant
 /// repair whose solver installs its own pool-carrying context and then
 /// parallel_for's over a super-grain component — executes serially instead
 /// of re-entering fan() -> wait() and re-draining caller_q_ mid-iteration.

@@ -11,11 +11,11 @@
 //
 //   submit(slot, fn, env, arg)  enqueue one task on lane `slot % width()`.
 //                               Slots give affinity: the same slot always
-//                               lands on the same lane (shard s -> lane
-//                               s % width, so a shard's repairs revisit the
-//                               worker whose cache already holds it).  Lane
-//                               width()-1 is the CALLER's lane; its tasks
-//                               run inside wait().
+//                               lands on the same lane (a fleet tenant in
+//                               slot s -> lane s % width, so its repairs
+//                               revisit the worker whose cache already
+//                               holds it).  Lane width()-1 is the CALLER's
+//                               lane; its tasks run inside wait().
 //   wait()                      run caller-lane tasks, then block until
 //                               every submitted task finished.  Rethrows
 //                               the first exception any task raised.
@@ -33,7 +33,7 @@
 // coordinator while it runs a task inline — caller-lane tasks inside
 // wait(), ring-full/degenerate submit fallbacks, and its own share of a
 // fan all execute under an in_pool_inline() pin, so a task whose body runs
-// nested parallel rounds (a shard repair over a super-grain component)
+// nested parallel rounds (a tenant repair over a super-grain component)
 // can never re-enter submit/fan/wait and re-drain queues the outer wait()
 // is still iterating.
 //

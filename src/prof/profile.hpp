@@ -18,8 +18,8 @@
 // RAII nesting (an inner Scope("rename") under Scope("solve") records as
 // "solve/rename") and embedded slashes in the name itself — the latter is
 // what `pram::parallel_for` bodies use, since worker threads start from an
-// empty path (a worker's Scope("shard/repair") lands under "shard" even
-// though the opening "shard" scope lives on the caller's thread).  A
+// empty path (a pool worker's Scope("inc/delta_flush") lands under "inc"
+// even when the enclosing "inc" scope lives on the caller's thread).  A
 // parent's ns therefore includes same-thread children (the scope spans
 // them) but NOT cross-thread children, whose summed ns can exceed the
 // parent's wall time; renderers clamp self-time at zero.

@@ -892,7 +892,6 @@ std::string Server::encode_stats_() const {
       {"engine_rebuilds", es.edits.rebuilds},
       {"delta_windows", es.deltas.windows},
       {"delta_full", es.deltas.full},
-      {"shards", es.shards},
   };
   w.put_u32(static_cast<u32>(kv.size()));
   for (const auto& [key, value] : kv) {

@@ -73,8 +73,8 @@ struct ServeStats {
 };
 
 /// Restores serving state from disk: loads the checkpoint at
-/// `checkpoint_path` when it exists (autodetecting plain vs. sharded
-/// streams), else constructs a fresh engine from `inst` via
+/// `checkpoint_path` when it exists (through sfcp::load_engine_checkpoint),
+/// else constructs a fresh engine from `inst` via
 /// sfcp::engines().make(engine_name).  The journal tail is NOT replayed
 /// here — hand the result to Server, whose constructor replays it.
 std::unique_ptr<Engine> recover_engine(const std::string& checkpoint_path,

@@ -30,11 +30,7 @@
 // Serving (edits against a live instance): program against sfcp::Engine and
 // pick an implementation from sfcp::engines() — "incremental" repairs the
 // dirty region per edit (inc::IncrementalSolver), "batch" re-solves lazily
-// per epoch (core::Solver), "sharded" partitions components across k warm
-// incremental shards repaired in parallel behind a cross-shard
-// class-reconciliation merge (shard::ShardedEngine; shard::ShardOptions
-// picks k and the migrate-vs-reshard ReshardPolicy for edits that rewire f
-// across shard boundaries).
+// per epoch (core::Solver).
 //
 //   auto eng = sfcp::engines().make("incremental", std::move(inst));
 //   eng->set_b(x, 3);                         // O(dirty) repair
@@ -43,7 +39,6 @@
 //   eng->save_checkpoint(os);                 // sfcp-checkpoint v1: restart
 //                                             // warm via
 //                                             // sfcp::load_engine_checkpoint
-//                                             // (autodetects plain/sharded)
 //
 // Views taken from an engine are snapshots: edits applied afterwards never
 // change a view a reader already holds, and view() after k localized edits
@@ -52,10 +47,9 @@
 //
 // Dirtiness itself is a first-class value: repairs accumulate an
 // inc::RepairDelta (relabelled nodes + created/destroyed/resized classes,
-// inc/repair_delta.hpp) that views patch from, the sharded merge layer
-// consumes at O(dirty classes), and the adaptive RepairPolicy /
-// ReshardPolicy modes fit their repair-vs-rebuild / migrate-vs-reshard
-// crossovers from (pram::CostModel; --policy adaptive in sfcp_cli).
+// inc/repair_delta.hpp) that views patch from, and the adaptive
+// RepairPolicy mode fits its repair-vs-rebuild crossover from
+// (pram::CostModel; --policy adaptive in sfcp_cli).
 // Engine::serving_stats() reports the delta and policy counters.
 //
 // Serving over the network: serve::Server puts any engine behind a durable
@@ -83,7 +77,7 @@
 // different settings never interfere — see pram/execution_context.hpp.
 //
 // Profiling (builds configured with -DSFCP_PROFILE=ON): prof::ScopedProfiler
-// installs a session profiler, solver/incremental/shard/serve hot paths open
+// installs a session profiler, solver/incremental/fleet/serve hot paths open
 // prof::Scope phases with charged FLOP/byte counts, and the merged
 // prof::ProfileTree travels through Engine::serving_stats(), the STATS wire
 // frame and bench --json records — rendered as a roofline against the
@@ -134,7 +128,6 @@
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "shard/sharded_engine.hpp"
 #include "strings/lyndon.hpp"
 #include "strings/matching.hpp"
 #include "strings/msp.hpp"

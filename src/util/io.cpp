@@ -29,8 +29,6 @@ constexpr const char* kEditsMagic = "sfcp-edits";
 constexpr const char* kEditsVersion = "v1";
 
 constexpr unsigned char kCheckpointMagicBytes[8] = {0x7f, 's', 'f', 'c', 'k', 'v', '1', '\n'};
-constexpr unsigned char kCheckpointShardedMagicBytes[8] = {0x7f, 's', 'f', 'c',
-                                                           'k', 's', '1', '\n'};
 constexpr unsigned char kJournalMagicBytes[8] = {0x7f, 's', 'f', 'c', 'j', 'v', '1', '\n'};
 constexpr unsigned char kFleetJournalMagicBytes[8] = {0x7f, 's', 'f', 'c', 'F', 'v', '1', '\n'};
 
@@ -135,10 +133,6 @@ void atomic_write_file(const std::string& path, const std::function<void(std::os
 
 std::span<const unsigned char, 8> checkpoint_magic() noexcept {
   return std::span<const unsigned char, 8>(kCheckpointMagicBytes);
-}
-
-std::span<const unsigned char, 8> checkpoint_sharded_magic() noexcept {
-  return std::span<const unsigned char, 8>(kCheckpointShardedMagicBytes);
 }
 
 void BinaryWriter::put_u32(u32 v) {

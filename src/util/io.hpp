@@ -36,16 +36,6 @@
 //   * lifetime edit stats (6 x u64).
 //   All integers little-endian; map sections sorted so equal engines produce
 //   byte-identical checkpoints.
-//
-// Sharded checkpoint (`sfcp-checkpoint v1`, sharded magic) — a warm
-// shard::ShardedEngine (see ShardedEngine::save_checkpoint/load):
-//
-//   8-byte magic 7F 's' 'f' 'c' 'k' 's' '1' 0A, then shard count (u32),
-//   global epoch (u64), node count (u64), and per shard: its size (u32),
-//   its ascending global node ids (u32[m]), and its solver's complete
-//   embedded `sfcp-checkpoint v1` stream.  The cross-shard reconciliation
-//   maps are derived state and are rebuilt on load.
-//   sfcp::load_engine_checkpoint() autodetects plain vs. sharded streams.
 
 #include <algorithm>
 #include <bit>
@@ -202,10 +192,6 @@ void atomic_write_file(const std::string& path, const std::function<void(std::os
 
 /// The 8-byte magic opening an `sfcp-checkpoint v1` stream.
 std::span<const unsigned char, 8> checkpoint_magic() noexcept;
-
-/// The 8-byte magic opening a sharded `sfcp-checkpoint v1` stream
-/// (shard::ShardedEngine::save_checkpoint).
-std::span<const unsigned char, 8> checkpoint_sharded_magic() noexcept;
 
 class BinaryWriter {
  public:

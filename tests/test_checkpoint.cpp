@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "engine.hpp"
 #include "inc/incremental_solver.hpp"
 #include "util/generators.hpp"
 #include "util/io.hpp"
@@ -117,6 +118,25 @@ TEST(Checkpoint, BadMagicIsRejected) {
   bytes[1] ^= 0x20;  // corrupt the magic
   std::istringstream is(bytes);
   EXPECT_THROW(inc::IncrementalSolver::load(is), std::runtime_error);
+}
+
+TEST(Sharded, CheckpointErrorPaths) {
+  // load_engine_checkpoint dispatches on the magic: a plain stream loads as
+  // "incremental"; garbage and the retired sharded magic are rejected,
+  // whether or not bytes follow it.
+  const std::string good = checkpoint_bytes(warmed_solver(64, 95, 10));
+  std::istringstream plain(good);
+  const LoadedEngine loaded = load_engine_checkpoint(plain);
+  EXPECT_EQ(loaded.kind, "incremental");
+  EXPECT_EQ(loaded.engine->kind(), "incremental");
+  std::istringstream garbage("not a checkpoint at all");
+  EXPECT_THROW(load_engine_checkpoint(garbage), std::runtime_error);
+  const std::string retired_sharded_magic("\x7f" "sfcks1\n", 8);
+  for (const std::string& tail : {std::string(), good.substr(8)}) {
+    std::istringstream retired(retired_sharded_magic + tail);
+    EXPECT_THROW(load_engine_checkpoint(retired), std::runtime_error)
+        << tail.size() << " bytes after the magic";
+  }
 }
 
 TEST(Checkpoint, TruncationAtEveryBoundaryIsRejected) {

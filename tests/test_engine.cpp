@@ -8,6 +8,7 @@
 #include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine.hpp"
@@ -20,9 +21,7 @@ namespace {
 std::vector<u32> to_vec(std::span<const u32> s) { return {s.begin(), s.end()}; }
 
 TEST(Engine, RegistryEnumeratesBuiltins) {
-  const auto names = engines().names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "batch"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "incremental"), names.end());
+  EXPECT_EQ(engines().names(), (std::vector<std::string>{"batch", "incremental"}));
   EXPECT_NE(engines().find("batch"), nullptr);
   EXPECT_EQ(engines().find("no-such-engine"), nullptr);
   util::Rng rng(80);

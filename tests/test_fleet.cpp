@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstddef>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -228,6 +229,29 @@ TEST(FleetEngine, SpillDirAdoptedAcrossRestart) {
   EXPECT_EQ(to_vec(fleet.view(5).labels()), want.q);
 }
 
+TEST(FleetEngine, SpillDirSkipsNonCanonicalNames) {
+  // Only `i<id>.ckpt` exactly as spill_path_ writes it is adopted.  A
+  // leading zero (i007) or digits past 2^64 (2^64 + 9 would wrap to 9)
+  // name no id's spill file; adopting them used to leave ids 7 and 9 cold
+  // on a path that does not exist, so every later operation threw "cannot
+  // open spill file".  Here both stay unknown and the factory serves them.
+  TempDir dir("fleet_adopt_noncanonical");
+  for (const char* name : {"i007.ckpt", "i18446744073709551625.ckpt"}) {
+    std::ofstream(dir.path / name) << "not a checkpoint";
+  }
+  fleet::FleetConfig cfg;
+  cfg.spill_dir = dir.path.string();
+  fleet::FleetEngine fleet(std::move(cfg));
+  EXPECT_FALSE(fleet.contains(7));
+  EXPECT_FALSE(fleet.contains(9));
+  EXPECT_EQ(fleet.stats().cold, 0u);
+  fleet.set_factory([](fleet::InstanceId id) { return make_instance(id); });
+  core::Solver oracle;
+  for (const fleet::InstanceId id : {fleet::InstanceId{7}, fleet::InstanceId{9}}) {
+    EXPECT_EQ(to_vec(fleet.view(id).labels()), oracle.solve(make_instance(id)).q) << id;
+  }
+}
+
 TEST(FleetEngine, WarmLimitEvictsLruTail) {
   fleet::FleetConfig cfg;
   cfg.warm_limit = 4;
@@ -362,38 +386,49 @@ TEST(FleetEngine, ApplyBatchPreservesPerIdOrderAcrossInterleaving) {
 // application under lane contention, lock-free routing reads racing
 // caller-lane mutations, and byte/charge parity with a threads=1 apply.
 
-TEST(FleetEngine, WarmFanMatchesSerialChargesAndViews) {
-  constexpr std::size_t kIds = 24;
+/// One warm-fan parity case: `ids` tenants of `nodes` nodes each, edited
+/// by pooled apply_batch rounds at `width` threads on a `width`-wide pool,
+/// must end with the epochs, views and PRAM charges of a threads=1 run.
+struct WarmFanInput {
+  std::size_t ids;
+  std::size_t nodes;
+  int width;  ///< threads and pool width of the pooled run
+  std::size_t warm_limit;
+  bool always_rebuild;  ///< repair.batch_rebuild_fraction = 0
+};
+
+void expect_warm_fan_matches_serial(const WarmFanInput& in) {
   constexpr std::size_t kRounds = 5;
   constexpr std::size_t kEditsPerRound = 3;
-
-  // Shared per-id edit streams, sampled once against the initial instances
-  // (node/label ranges never change, so the streams stay valid all rounds).
-  std::vector<std::vector<inc::Edit>> streams(kIds);
-  for (std::size_t id = 0; id < kIds; ++id) {
-    streams[id] = make_edits(make_instance(id, 32), kRounds * kEditsPerRound, 700 + id);
-  }
 
   struct RunResult {
     std::vector<std::vector<u32>> views;
     std::vector<u64> epochs;
     pram::MetricsSnapshot delta;
   };
+  // Shared per-id edit streams, sampled once against the initial instances
+  // (node/label ranges never change, so the streams stay valid all rounds).
+  std::vector<std::vector<inc::Edit>> streams(in.ids);
+  for (std::size_t id = 0; id < in.ids; ++id) {
+    streams[id] = make_edits(make_instance(id, in.nodes), kRounds * kEditsPerRound, 700 + id);
+  }
+
   auto run = [&](int threads, pram::WorkerPool* pool) {
     pram::Metrics metrics;
     fleet::FleetConfig cfg;
     cfg.engine = "incremental";
-    cfg.warm_limit = 8;  // kIds/3: every batch crosses the evict/fault churn
+    cfg.warm_limit = in.warm_limit;
+    if (in.always_rebuild) cfg.repair.batch_rebuild_fraction = 0.0;
     cfg.ctx.threads = threads;
     cfg.ctx.metrics = &metrics;
     fleet::FleetEngine fleet(std::move(cfg));
-    fleet.set_factory([](fleet::InstanceId id) { return make_instance(id, 32); });
+    fleet.set_factory([&](fleet::InstanceId id) { return make_instance(id, in.nodes); });
     if (pool != nullptr) fleet.install_pool(pool);
 
     // Round 0 materializes every id through the cold-batch path; charges up
-    // to here are construction-shaped, so compare deltas past this point.
+    // to here are construction-shaped, so compare deltas past it.
     std::vector<fleet::InstanceEdit> batch;
-    for (std::size_t id = 0; id < kIds; ++id) batch.push_back({id, streams[id][0]});
+    for (std::size_t id = 0; id < in.ids; ++id) batch.push_back({id, streams[id][0]});
     fleet.apply_batch(batch);
     const pram::MetricsSnapshot base = metrics.snapshot();
 
@@ -401,7 +436,7 @@ TEST(FleetEngine, WarmFanMatchesSerialChargesAndViews) {
       batch.clear();
       // Interleave ids within the round so groups carry per-id order.
       for (std::size_t e = 0; e < kEditsPerRound; ++e) {
-        for (std::size_t id = 0; id < kIds; ++id) {
+        for (std::size_t id = 0; id < in.ids; ++id) {
           batch.push_back({id, streams[id][r * kEditsPerRound + e]});
         }
       }
@@ -419,7 +454,7 @@ TEST(FleetEngine, WarmFanMatchesSerialChargesAndViews) {
     out.delta.edit_dirty = end.edit_dirty - base.edit_dirty;
     out.delta.view_patched = end.view_patched - base.view_patched;
     out.delta.view_rebuilt = end.view_rebuilt - base.view_rebuilt;
-    for (std::size_t id = 0; id < kIds; ++id) {
+    for (std::size_t id = 0; id < in.ids; ++id) {
       out.epochs.push_back(fleet.epoch(id));
       out.views.push_back(to_vec(fleet.view(id).labels()));
     }
@@ -428,12 +463,16 @@ TEST(FleetEngine, WarmFanMatchesSerialChargesAndViews) {
   };
 
   const RunResult serial = run(1, nullptr);
-  pram::WorkerPool pool(4);
-  const RunResult pooled = run(4, &pool);
+  pram::WorkerPool pool(in.width);
+  const RunResult pooled = run(in.width, &pool);
 
   EXPECT_EQ(pooled.epochs, serial.epochs);
-  for (std::size_t id = 0; id < kIds; ++id) {
+  for (std::size_t id = 0; id < in.ids; ++id) {
     EXPECT_EQ(pooled.views[id], serial.views[id]) << "id=" << id;
+  }
+  if (in.always_rebuild) {
+    EXPECT_EQ(serial.delta.edit_repairs, 0u) << "an apply skipped the re-solve";
+    EXPECT_GT(serial.delta.edit_rebuilds, 0u);
   }
   // Charge parity with the serial path, field by field.  Wall-clock fields
   // (edit_repair_ns / edit_rebuild_ns) are timing-dependent and excluded.
@@ -446,6 +485,24 @@ TEST(FleetEngine, WarmFanMatchesSerialChargesAndViews) {
   EXPECT_EQ(pooled.delta.edit_dirty, serial.delta.edit_dirty);
   EXPECT_EQ(pooled.delta.view_patched, serial.delta.view_patched);
   EXPECT_EQ(pooled.delta.view_rebuilt, serial.delta.view_rebuilt);
+}
+
+TEST(FleetEngine, WarmFanMatchesSerialChargesAndViews) {
+  // A warm cap of ids/3: every batch crosses the evict/fault churn.
+  expect_warm_fan_matches_serial({.ids = 24, .nodes = 32, .width = 4, .warm_limit = 8,
+                                  .always_rebuild = false});
+}
+
+TEST(PoolDeterminism, SuperGrainCallerLaneRepairsMatchSingleThread) {
+  // Super-grain tenants: 3000 nodes pass the default grain of 2048, so a
+  // repair's inner rounds are parallel-eligible, and at width 2 every odd
+  // slot repairs on the CALLER lane, inline inside wait().  Fraction 0 turns
+  // every apply into a full re-solve, so those rounds always run.  They must
+  // stay serial instead of re-entering the pool from the drain loop, which
+  // once replayed completed tasks (double charges, corrupt state).  The warm
+  // set holds every tenant: a fault-in restores the default repair policy.
+  expect_warm_fan_matches_serial({.ids = 4, .nodes = 3000, .width = 2, .warm_limit = 0,
+                                  .always_rebuild = true});
 }
 
 TEST(FleetEngine, WarmFanAppliesEachEditExactlyOnce) {

@@ -1,7 +1,7 @@
 // Differential fuzzing across every serving engine: the same seeded edit
-// stream is driven through every engine in sfcp::engines() plus explicit
-// ShardedEngine shard counts, and after every batch each engine's canonical
-// view must be byte-identical to a fresh core::solve on the evolved
+// stream is driven through every engine in sfcp::engines() plus adaptive
+// and pooled IncrementalEngine lanes, and after every batch each engine's
+// canonical view must be byte-identical to a fresh core::solve on the evolved
 // instance — labels, class count, cycle and kept/residual counters, and the
 // edit clock all included.  Runs under the SFCP_SANITIZE CI job; ctest
 // label: fuzz (tier-1 stays fast by excluding it).
@@ -21,7 +21,6 @@
 #include "pram/worker_pool.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
-#include "shard/sharded_engine.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -37,24 +36,14 @@ struct Lane {
   std::unique_ptr<pram::WorkerPool> pool;
 };
 
-/// Every registered engine, plus the sharded engine at each fuzzed shard
-/// count (the registry's "sharded" is the k=8 default; k=1 degenerates to a
-/// single warm solver and k=2 keeps cross-shard traffic high), plus
-/// adaptive-policy lanes — the repair/reshard crossovers are fitted from
-/// wall-clock costs, so their repair-vs-rebuild decisions are timing-
-/// dependent, and views must be byte-identical whichever path was taken.
+/// Every registered engine, plus an adaptive-policy lane — the
+/// repair-vs-rebuild crossover is fitted from wall-clock costs, so its
+/// decisions are timing-dependent, and views must be byte-identical
+/// whichever path was taken — plus pooled lanes.
 std::vector<Lane> make_lanes(const graph::Instance& inst) {
   std::vector<Lane> lanes;
   for (const auto& info : engines().all()) {
     lanes.push_back({info.name, engines().make(info.name, inst)});
-  }
-  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    shard::ShardOptions sopt;
-    sopt.shards = k;
-    lanes.push_back({"sharded-k" + std::to_string(k),
-                     std::make_unique<shard::ShardedEngine>(graph::Instance(inst),
-                                                            core::Options::parallel(),
-                                                            pram::ExecutionContext{}, sopt)});
   }
   inc::RepairPolicy adaptive;
   adaptive.adaptive = true;
@@ -62,29 +51,21 @@ std::vector<Lane> make_lanes(const graph::Instance& inst) {
                    std::make_unique<IncrementalEngine>(graph::Instance(inst),
                                                        core::Options::parallel(),
                                                        pram::ExecutionContext{}, adaptive)});
-  shard::ShardOptions asopt;
-  asopt.shards = 4;
-  asopt.repair = adaptive;
-  asopt.reshard.adaptive = true;
-  lanes.push_back({"sharded-adaptive-k4",
-                   std::make_unique<shard::ShardedEngine>(graph::Instance(inst),
-                                                          core::Options::parallel(),
-                                                          pram::ExecutionContext{}, asopt)});
-  // Pooled lanes: sharded-k8 on a live WorkerPool at 2 and 8 threads.
-  // Repairs genuinely run concurrently here, and the harness checks the
-  // canonical views byte-identical to the fresh solve — i.e. to every
-  // single-threaded lane (determinism under concurrency).
+  // Pooled lanes: an IncrementalEngine on a live WorkerPool at 2 and 8
+  // threads.  The grain is far below the default so even these small
+  // instances' solve and rebuild rounds split across lanes; the harness
+  // checks the canonical views byte-identical to the fresh solve — i.e. to
+  // every single-threaded lane (determinism under concurrency).
   for (const int t : {2, 8}) {
-    shard::ShardOptions psopt;
-    psopt.shards = 8;
     pram::ExecutionContext pctx;
     pctx.threads = t;
+    pctx.grain = 64;
     auto pool = std::make_unique<pram::WorkerPool>(t);
-    auto engine = std::make_unique<shard::ShardedEngine>(
-        graph::Instance(inst), core::Options::parallel(), pctx, psopt);
+    auto engine = std::make_unique<IncrementalEngine>(graph::Instance(inst),
+                                                      core::Options::parallel(), pctx);
     engine->install_pool(pool.get());
     lanes.push_back(
-        {"sharded-k8-pool-t" + std::to_string(t), std::move(engine), std::move(pool)});
+        {"incremental-pool-t" + std::to_string(t), std::move(engine), std::move(pool)});
   }
   return lanes;
 }
@@ -118,17 +99,6 @@ void run_differential(const graph::Instance& inst, std::span<const inc::Edit> st
       // All engines share the state-changing-edits clock.
       ASSERT_EQ(lane.engine->epoch(), lanes[0].engine->epoch()) << lane.name << ", " << at;
       ASSERT_EQ(got.epoch(), lane.engine->epoch()) << lane.name << ", " << at;
-      // The O(dirty classes) reconciliation contract: per-class merge work
-      // is bounded by the nodes the shard solvers' repair deltas carried —
-      // it never re-walks clean parts of a shard.
-      if (const auto* se = dynamic_cast<const shard::ShardedEngine*>(lane.engine.get())) {
-        const EngineStats es = se->serving_stats();
-        ASSERT_LE(es.merge_touched_nodes, es.deltas.nodes) << lane.name << ", " << at;
-        ASSERT_LE(es.merge_touched_classes,
-                  es.deltas.classes_created + es.deltas.classes_destroyed +
-                      es.deltas.classes_resized)
-            << lane.name << ", " << at;
-      }
     }
     if (stream.empty()) break;
   }
@@ -142,7 +112,7 @@ void run_mix(graph::Instance inst, util::EditMix mix, std::size_t count, u64 see
 }
 
 /// Disjoint union of `blocks` random functional graphs — many independent
-/// components, so every shard of a ShardedEngine owns real work.
+/// components, so edits in one never dirty another.
 graph::Instance multi_component(std::size_t blocks, std::size_t block_n, u32 num_b, u64 seed) {
   util::Rng rng(seed);
   graph::Instance out;
@@ -212,7 +182,7 @@ TEST(FuzzDifferential, MergeableUniform) {
 // ---- edge-of-the-space sweeps --------------------------------------------
 
 // Tiny instances hit every boundary at once: self-loops, n == 1, whole-graph
-// dirty regions, shards outnumbering components.
+// dirty regions.
 TEST(FuzzDifferential, SmallInstanceSweep) {
   for (std::size_t n = 1; n <= 20; n += 3) {
     for (u64 seed = 1; seed <= 3; ++seed) {
@@ -319,11 +289,6 @@ TEST(FuzzDifferential, LoopbackIncrementalCycleChurn) {
                160, 82, "loopback/incremental/churn");
 }
 
-TEST(FuzzDifferential, LoopbackShardedUniform) {
-  run_loopback(multi_component(8, 120, 4, 2044), "sharded", util::EditMix::Uniform, 180, 83,
-               "loopback/sharded/uniform");
-}
-
 TEST(FuzzDifferential, LoopbackBatchUniform) {
   util::Rng rng(43);
   run_loopback(util::random_function(800, 4, rng), "batch", util::EditMix::Uniform, 140, 84,
@@ -405,14 +370,12 @@ TEST(FuzzDifferential, FleetInterleavedIncremental) { run_fleet_lane("incrementa
 
 TEST(FuzzDifferential, FleetInterleavedBatch) { run_fleet_lane("batch", 64, 3002); }
 
-TEST(FuzzDifferential, FleetInterleavedSharded) { run_fleet_lane("sharded", 64, 3003); }
-
 TEST(FuzzDifferential, FleetInterleavedIncrementalPoolT2) {
   run_fleet_lane("incremental", 64, 3004, /*pool_threads=*/2);
 }
 
-TEST(FuzzDifferential, FleetInterleavedShardedPoolT8) {
-  run_fleet_lane("sharded", 64, 3005, /*pool_threads=*/8);
+TEST(FuzzDifferential, FleetInterleavedBatchPoolT8) {
+  run_fleet_lane("batch", 64, 3005, /*pool_threads=*/8);
 }
 
 // Batch-heavy pooled lanes: every round is one apply_batch, so the warm fan
@@ -426,8 +389,8 @@ TEST(FuzzDifferential, FleetWarmFanIncrementalPoolT8) {
   run_fleet_lane("incremental", 64, 3007, /*pool_threads=*/8, /*batch_heavy=*/true);
 }
 
-TEST(FuzzDifferential, FleetWarmFanShardedPoolT8) {
-  run_fleet_lane("sharded", 64, 3008, /*pool_threads=*/8, /*batch_heavy=*/true);
+TEST(FuzzDifferential, FleetWarmFanBatchPoolT8) {
+  run_fleet_lane("batch", 64, 3008, /*pool_threads=*/8, /*batch_heavy=*/true);
 }
 
 }  // namespace

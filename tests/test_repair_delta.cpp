@@ -1,9 +1,8 @@
 // The repair delta as a first-class value: a delta taken from the solver
 // and applied to the previous view must reproduce a fresh solve exactly
-// (for all three edit regimes, on the repair, rebuild and — at the shard
-// level — migration paths), its class-churn lists must balance the block
-// count, and adaptive policies must stay byte-correct while their cost fit
-// converges.
+// (for all three edit regimes, on the repair and rebuild paths), its
+// class-churn lists must balance the block count, and the adaptive policy
+// must stay byte-correct while its cost fit converges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,10 +12,8 @@
 #include <vector>
 
 #include "core/coarsest_partition.hpp"
-#include "engine.hpp"
 #include "inc/incremental_solver.hpp"
 #include "inc/repair_delta.hpp"
-#include "shard/sharded_engine.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -267,50 +264,6 @@ TEST(RepairDelta, AdaptiveFitConvergesAndStaysCorrect) {
   const core::Result want = core::solve(reference);
   const std::span<const u32> q = solver.view().labels();
   ASSERT_TRUE(std::equal(q.begin(), q.end(), want.q.begin(), want.q.end()));
-}
-
-// ---- the migration path (shard level) ------------------------------------
-
-TEST(RepairDelta, ShardMigrationPathMatchesFreshAcrossRegimes) {
-  // Two components in separate shards; a cross-shard rewire migrates one,
-  // then each regime keeps streaming — views must stay byte-identical to
-  // fresh solves through the migration's full requotient and the per-class
-  // reconciliation that follows.
-  for (const auto mix :
-       {util::EditMix::LocalizedHotspot, util::EditMix::Uniform, util::EditMix::CycleChurn}) {
-    util::Rng rng(515 + static_cast<u64>(mix));
-    graph::Instance inst;
-    for (std::size_t j = 0; j < 2; ++j) {
-      const graph::Instance sub = util::random_function(150, 3, rng);
-      const u32 off = static_cast<u32>(j * 150);
-      for (std::size_t i = 0; i < 150; ++i) {
-        inst.f.push_back(sub.f[i] + off);
-        inst.b.push_back(sub.b[i]);
-      }
-    }
-    shard::ShardOptions sopt;
-    sopt.shards = 2;
-    shard::ShardedEngine engine(graph::Instance(inst), core::Options::parallel(), {}, sopt);
-    ASSERT_NE(engine.shard_of(0), engine.shard_of(150));
-    engine.view();
-
-    engine.set_f(0, 200);  // drags node 0's component across the boundary
-    inst.f[0] = 200;
-    EXPECT_EQ(engine.stats().migrations + engine.stats().reshards, 1u);
-
-    util::Rng srng(600 + static_cast<u64>(mix));
-    const auto stream = util::random_edit_stream(inst, 40, mix, 5, srng);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      inc::apply_raw(stream[i], inst.f, inst.b);
-      engine.apply({&stream[i], 1});
-      const core::Result want = core::solve(inst);
-      const core::PartitionView v = engine.view();
-      ASSERT_EQ(v.num_classes(), want.num_blocks) << "edit " << i;
-      const std::span<const u32> q = v.labels();
-      ASSERT_TRUE(std::equal(q.begin(), q.end(), want.q.begin(), want.q.end()))
-          << "migration regime " << static_cast<int>(mix) << ", edit " << i;
-    }
-  }
 }
 
 }  // namespace

@@ -474,18 +474,6 @@ TEST(ServeServer, CheckpointOverWireResetsJournalAndRestores) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(ServeServer, ShardedEngineServesAndNotifies) {
-  LoopbackServer srv(engines().make("sharded", test_instance(800, 99)));
-  serve::Client client = srv.connect();
-  client.subscribe();
-  const u64 epoch = apply_edits(client, {inc::Edit::set_b(10, 1234)});
-  const auto n = client.next_notification(5000);
-  ASSERT_TRUE(n.has_value());
-  EXPECT_EQ(n->epoch, epoch);
-  const auto stats = stat_map(client);
-  EXPECT_GT(stats.at("shards"), 0u);
-}
-
 TEST(ServeServer, StatsExportsServingCounters) {
   LoopbackServer srv(engines().make("incremental", test_instance(100)));
   serve::Client client = srv.connect();

@@ -3,8 +3,9 @@
 // after a partial journal append (exactly what power loss during a write
 // leaves behind).  The parent restarts serving on the same journal and the
 // replayed view must be byte-identical to a fresh core::solve over the same
-// edit stream — for the plain and sharded engines, under repair-dominated
-// and rebuild-heavy regimes.
+// edit stream — for the incremental engine under repair-dominated and
+// rebuild-heavy regimes, and for the batch engine, which keeps no warm
+// state and recovers from the journal alone.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -150,20 +151,16 @@ TEST(ServeCrashRecovery, IncrementalRebuildRegime) {
   run_crash_recovery("inc_rebuild", "incremental", util::EditMix::CycleChurn, false);
 }
 
-TEST(ServeCrashRecovery, ShardedRepairRegime) {
-  run_crash_recovery("shard_repair", "sharded", util::EditMix::LocalizedHotspot, false);
-}
-
-TEST(ServeCrashRecovery, ShardedRebuildRegime) {
-  run_crash_recovery("shard_rebuild", "sharded", util::EditMix::CycleChurn, false);
+TEST(ServeCrashRecovery, BatchEngineReplaysJournal) {
+  run_crash_recovery("batch", "batch", util::EditMix::LocalizedHotspot, false);
 }
 
 TEST(ServeCrashRecovery, CheckpointMidwayThenCrash) {
   run_crash_recovery("inc_ckpt", "incremental", util::EditMix::LocalizedHotspot, true);
 }
 
-TEST(ServeCrashRecovery, ShardedCheckpointMidwayThenCrash) {
-  run_crash_recovery("shard_ckpt", "sharded", util::EditMix::Uniform, true);
+TEST(ServeCrashRecovery, UniformCheckpointMidwayThenCrash) {
+  run_crash_recovery("inc_ckpt_uniform", "incremental", util::EditMix::Uniform, true);
 }
 
 }  // namespace

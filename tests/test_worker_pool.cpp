@@ -2,9 +2,8 @@
 // exactly-once execution, slot→lane affinity, exception propagation,
 // nested-parallelism rules (a pool worker is one PRAM processor), pool
 // routing of parallel_for/parallel_blocks, the per-thread default pool
-// (including across fork()), and — the serving-path contract — shard
-// repairs charging the same work/depth at threads=8 on the pool as at
-// threads=1.
+// (including across fork()), and errors from a pooled engine's apply()
+// surfacing on the calling thread.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -19,12 +18,12 @@
 #include <vector>
 
 #include "core/coarsest_partition.hpp"
+#include "engine.hpp"
 #include "pram/config.hpp"
 #include "pram/execution_context.hpp"
 #include "pram/metrics.hpp"
 #include "pram/parallel_for.hpp"
 #include "pram/worker_pool.hpp"
-#include "shard/sharded_engine.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -154,8 +153,9 @@ TEST(WorkerPool, CallerLaneNestedRoundsRunInlineExactlyOnce) {
 TEST(WorkerPool, WorkersAreOnePramProcessor) {
   // On a worker: on_pool_worker() is set, threads() pins to 1, and a nested
   // parallel_for runs serially (correct result, no oversubscription) — the
-  // explicit inner-level rule for the shard fan-out.  Submitting to slots
-  // 0..2 of a width-4 pool deterministically targets the 3 worker lanes.
+  // explicit inner-level rule for pooled tasks such as the fleet's warm fan.
+  // Submitting to slots 0..2 of a width-4 pool deterministically targets the
+  // 3 worker lanes.
   pram::WorkerPool pool(4);
   std::atomic<int> violations{0};
   std::atomic<int> checked{0};
@@ -293,153 +293,17 @@ TEST(WorkerPool, ForkedChildRunsRoundsOnItsOwnDefaultPool) {
   EXPECT_TRUE(round(7)) << "parent's pool broken after the fork";
 }
 
-// ---- determinism of the pooled shard repair path --------------------------
-
-graph::Instance component_row(std::size_t count, std::size_t size, u64 seed) {
-  util::Rng rng(seed);
-  graph::Instance inst;
-  for (std::size_t j = 0; j < count; ++j) {
-    const graph::Instance sub = util::random_function(size, 3, rng);
-    const u32 off = static_cast<u32>(j * size);
-    for (std::size_t i = 0; i < size; ++i) {
-      inst.f.push_back(sub.f[i] + off);
-      inst.b.push_back(sub.b[i]);
-    }
-  }
-  return inst;
-}
-
-graph::Instance eight_components(u64 seed) { return component_row(8, 100, seed); }
-
-/// set_b edits cycling through the components — shard-routable (never
-/// cross-shard), and every batch of `count` dirties all shards, so each
-/// apply exercises the pooled fan (not the single-dirty-shard fallback).
-std::vector<inc::Edit> spread_edits(std::size_t count, u64 seed, std::size_t comps = 8,
-                                    std::size_t size = 100) {
-  util::Rng rng(seed);
-  std::vector<inc::Edit> edits;
-  edits.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const u32 node = static_cast<u32>((i % comps) * size) +
-                     rng.below_u32(static_cast<u32>(size));
-    edits.push_back(inc::Edit::set_b(node, rng.below_u32(5)));
-  }
-  return edits;
-}
-
-TEST(PoolDeterminism, ShardedChargesAndViewsMatchSingleThread) {
-  // Satellite contract: with inner loops forced serial on pool workers, a
-  // threads=8 pooled session must charge EXACTLY the rounds and operations
-  // of a threads=1 session — and produce byte-identical canonical views.
-  const graph::Instance inst = eight_components(42);
-  const std::vector<inc::Edit> edits = spread_edits(96, 77);
-  shard::ShardOptions sopt;
-  sopt.shards = 8;
-
-  pram::Metrics m1;
-  pram::ExecutionContext ctx1;
-  ctx1.threads = 1;
-  ctx1.metrics = &m1;
-  shard::ShardedEngine e1(graph::Instance(inst), core::Options::parallel(), ctx1, sopt);
-
-  pram::WorkerPool pool(8);
-  pram::Metrics m8;
-  pram::ExecutionContext ctx8;
-  ctx8.threads = 8;
-  ctx8.metrics = &m8;
-  shard::ShardedEngine e8(graph::Instance(inst), core::Options::parallel(), ctx8, sopt);
-  e8.install_pool(&pool);
-
-  // Compare the APPLY phase as deltas past construction: the constructor's
-  // initial solve runs on the calling thread, where kernel selection (e.g.
-  // cycle_labeling's outer_parallel crossover) legitimately keys off the
-  // session width.  The contract under test is the repair fan — on pool
-  // workers threads() pins to 1, so its charges must match threads=1.
-  const u64 r1_0 = m1.round_count(), o1_0 = m1.ops();
-  const u64 r8_0 = m8.round_count(), o8_0 = m8.ops();
-  for (std::size_t i = 0; i < edits.size(); i += 8) {
-    const std::size_t len = std::min<std::size_t>(8, edits.size() - i);
-    e1.apply(std::span<const inc::Edit>(edits).subspan(i, len));
-    e8.apply(std::span<const inc::Edit>(edits).subspan(i, len));
-  }
-
-  EXPECT_EQ(m1.round_count() - r1_0, m8.round_count() - r8_0)
-      << "depth charge diverged under the pool";
-  EXPECT_EQ(m1.ops() - o1_0, m8.ops() - o8_0) << "work charge diverged under the pool";
-
-  const core::PartitionView v1 = e1.view();
-  const core::PartitionView v8 = e8.view();
-  ASSERT_EQ(v1.num_classes(), v8.num_classes());
-  const std::span<const u32> q1 = v1.labels();
-  const std::span<const u32> q8 = v8.labels();
-  ASSERT_TRUE(std::equal(q1.begin(), q1.end(), q8.begin(), q8.end()))
-      << "pooled canonical view diverged from single-threaded";
-}
-
-TEST(PoolDeterminism, SuperGrainCallerLaneRepairsMatchSingleThread) {
-  // Regression at REALISTIC shard sizes: shards larger than the parallel
-  // grain (2048) make a repair's inner rounds parallel-eligible, and with
-  // pool width 2 shards 1 and 3 land on the CALLER lane, running inline
-  // inside wait().  batch_rebuild_fraction = 0 forces every repair through
-  // a full re-solve, guaranteeing super-grain inner rounds.  Before the
-  // inline pin those rounds re-entered the pool from the drain loop and
-  // replayed completed repair tasks (double-charging and corrupting shard
-  // state); charges and views must match the threads=1 session exactly.
-  constexpr std::size_t kComponents = 4;
-  constexpr std::size_t kSize = 3000;  // > default grain of 2048
-  const graph::Instance inst = component_row(kComponents, kSize, 11);
-  const std::vector<inc::Edit> edits = spread_edits(32, 13, kComponents, kSize);
-  shard::ShardOptions sopt;
-  sopt.shards = kComponents;
-  sopt.repair.batch_rebuild_fraction = 0.0;  // threshold 1: always rebuild
-
-  pram::Metrics m1;
-  pram::ExecutionContext ctx1;
-  ctx1.threads = 1;
-  ctx1.metrics = &m1;
-  shard::ShardedEngine e1(graph::Instance(inst), core::Options::parallel(), ctx1, sopt);
-
-  pram::WorkerPool pool(2);
-  pram::Metrics m2;
-  pram::ExecutionContext ctx2;
-  ctx2.threads = 2;
-  ctx2.metrics = &m2;
-  // Pool installed from birth (not via install_pool afterwards): the
-  // construction solve's super-grain rounds then route to the pool as
-  // well, which doubles as TSan coverage — pool dispatch is condvar/atomic
-  // based and fully sanitizer-visible, unlike libgomp's barriers.
-  ctx2.pool = &pool;
-  shard::ShardedEngine e2(graph::Instance(inst), core::Options::parallel(), ctx2, sopt);
-
-  const u64 r1_0 = m1.round_count(), o1_0 = m1.ops();
-  const u64 r2_0 = m2.round_count(), o2_0 = m2.ops();
-  for (std::size_t i = 0; i < edits.size(); i += kComponents) {
-    const std::size_t len = std::min<std::size_t>(kComponents, edits.size() - i);
-    e1.apply(std::span<const inc::Edit>(edits).subspan(i, len));
-    e2.apply(std::span<const inc::Edit>(edits).subspan(i, len));
-  }
-  EXPECT_EQ(m1.round_count() - r1_0, m2.round_count() - r2_0)
-      << "depth charge diverged (task replayed or nested round forked)";
-  EXPECT_EQ(m1.ops() - o1_0, m2.ops() - o2_0) << "work charge diverged under the pool";
-
-  const core::PartitionView v1 = e1.view();
-  const core::PartitionView v2 = e2.view();
-  ASSERT_EQ(v1.num_classes(), v2.num_classes());
-  const std::span<const u32> q1 = v1.labels();
-  const std::span<const u32> q2 = v2.labels();
-  ASSERT_TRUE(std::equal(q1.begin(), q1.end(), q2.begin(), q2.end()))
-      << "super-grain pooled canonical view diverged from single-threaded";
-}
+// ---- errors from a pooled engine -----------------------------------------
 
 TEST(PoolDeterminism, RepairErrorSurfacesFromPooledApply) {
-  // An invalid edit throws from validation BEFORE the fan; a logic error
-  // inside a pooled repair would surface from wait().  Either way apply()
-  // must throw on the calling thread, pool or not.
-  const graph::Instance inst = eight_components(7);
+  // An invalid edit throws from validation BEFORE any pooled round; a logic
+  // error inside a pooled round would surface from wait().  Either way
+  // apply() must throw on the calling thread, pool or not.
+  util::Rng rng(7);
   pram::WorkerPool pool(4);
   pram::ExecutionContext ctx;
   ctx.threads = 4;
-  shard::ShardedEngine engine(graph::Instance(inst), core::Options::parallel(), ctx, {});
+  IncrementalEngine engine(util::random_function(800, 3, rng), core::Options::parallel(), ctx);
   engine.install_pool(&pool);
   const inc::Edit bad = inc::Edit::set_f(5, 100000);  // target out of range
   EXPECT_THROW(engine.apply({&bad, 1}), std::invalid_argument);

@@ -3,7 +3,7 @@
 
 Every bench/table target in this repo appends JSON-lines records of the form
 
-    {"name":"BM_ShardedEdits/k8/localized","n":0,"strategy":"...","threads":8,"ms":1.23}
+    {"name":"BM_FleetZipfEdits","n":0,"strategy":"zipf","threads":1,"ms":1.23}
 
 via `--json <path>` (src/util/bench_json.hpp); CI uploads one file per
 target per commit.  This tool compares two such files:
@@ -28,12 +28,13 @@ bench_fleet exports warm/warm_bytes/evictions/faults this way to document
 its bounded warm-set claim).  Counter drift beyond the threshold is
 reported the same way — warn-only, never a gate.
 
-Pool threads-scaling keys (BENCH_pool.json; strategies carrying a /t<k>
-thread-width segment, e.g. "BM_PoolShardedEdits/k8/t4/burst") additionally
-get a scaling report computed WITHIN the new record: for each family the
-t1 lane anchors speedup = t1_ms / tN_ms per width.  Reported warn-only by
-default; `--min-pool-speedup X` turns it into a gate requiring the widest
-lane of every family to reach at least X (exit 1 otherwise).  Note this is
+Pool threads-scaling keys (strategies carrying a /t<k> thread-width
+segment; today only BENCH_fleet.json's BM_FleetConcurrentEdits, e.g.
+"zipf/t4") additionally get a scaling report computed WITHIN the new
+record: for each family the t1 lane anchors speedup = t1_ms / tN_ms per
+width.  Reported warn-only by default; `--min-pool-speedup X` turns it
+into a gate requiring the widest lane of every family to reach at least X
+(exit 1 otherwise).  Note this is
 a same-run ratio, not a cross-commit diff — a one-core runner will sit
 near 1x, which is why the gate is opt-in.
 
@@ -161,8 +162,8 @@ POOL_SEG = re.compile(r"(?:^|/)t(\d+)(?=/|$)")
 def pool_families(records):
     """{key: ms} -> {family: {width: ms}} for keys whose strategy carries a
     /t<k> thread-width segment.  The family key is the record key with that
-    segment removed, so k8/t1/burst .. k8/t8/burst collapse into one family
-    keyed by (name, n, "k8/burst", threads)."""
+    segment removed, so zipf/t1/burst .. zipf/t8/burst collapse into one
+    family keyed by (name, n, "zipf/burst", threads)."""
     fams = {}
     for key, ms in records.items():
         name, n, strategy, threads = key
@@ -284,15 +285,16 @@ def selftest():
         _, empty = diff({}, new, threshold=20.0)
         assert empty == [], "disjoint records must not regress"
 
-        # Pool threads-scaling: k8/t1..t8 lanes collapse into one family;
-        # speedup anchors on t1; only the widest lane gates.
-        pool = {("BM_PoolShardedEdits", 0, "k8/t1/burst", 8): 8.0,
-                ("BM_PoolShardedEdits", 0, "k8/t2/burst", 8): 5.0,
-                ("BM_PoolShardedEdits", 0, "k8/t8/burst", 8): 2.0,
-                ("BM_ShardedEdits", 0, "k8/burst", 8): 3.0}  # no /t — ignored
+        # Pool threads-scaling: a mid-strategy /t1..t8 segment collapses the
+        # lanes into one family; speedup anchors on t1; only the widest lane
+        # gates.
+        pool = {("BM_PoolEdits", 0, "zipf/t1/burst", 8): 8.0,
+                ("BM_PoolEdits", 0, "zipf/t2/burst", 8): 5.0,
+                ("BM_PoolEdits", 0, "zipf/t8/burst", 8): 2.0,
+                ("BM_Edits", 0, "zipf/burst", 8): 3.0}  # no /t — ignored
         fams = pool_families(pool)
-        assert list(fams) == [("BM_PoolShardedEdits", 0, "k8/burst", 8)], fams
-        assert fams[("BM_PoolShardedEdits", 0, "k8/burst", 8)] == \
+        assert list(fams) == [("BM_PoolEdits", 0, "zipf/burst", 8)], fams
+        assert fams[("BM_PoolEdits", 0, "zipf/burst", 8)] == \
             {1: 8.0, 2: 5.0, 8: 2.0}, fams
         plines, pfail = pool_scaling(pool)
         assert len(plines) == 2 and pfail == [], (plines, pfail)
