@@ -1,14 +1,13 @@
 // Shared main for every google-benchmark target: standard benchmark CLI
 // plus `--json <path>`, which appends one {name, n, strategy, threads, ms}
 // JSON-lines record per measured run (util/bench_json).  Linked instead of
-// benchmark_main so perf trajectories can be captured uniformly.
+// benchmark_main so every bench speaks the same record format.
 //
 // A process-wide prof::Profiler is installed for the whole run: in
 // SFCP_PROFILE builds every record also carries the phase profile
 // accumulated since the previous record (snapshot + reset per ReportRuns),
-// which is how BENCH_*.json grows per-phase breakdowns for
-// tools/profile_report.py.  In default builds the tree is empty and the
-// record shape is unchanged.
+// which tools/profile_report.py renders as a per-phase roofline.  In
+// default builds the tree is empty and the record shape is unchanged.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -71,16 +70,11 @@ class JsonAppendReporter : public benchmark::ConsoleReporter {
       split_run_name(run.benchmark_name(), name, strategy, n);
       const double iters = run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
       const double ms = run.real_accumulated_time / iters * 1e3;
-      std::vector<std::pair<std::string, double>> counters;
-      counters.reserve(run.counters.size());
-      for (const auto& [key, counter] : run.counters) {
-        counters.emplace_back(key, counter.value);
-      }
       // run.threads is google-benchmark's own threading (always 1 here);
-      // what perf trajectories care about is the PRAM thread budget the
-      // solver ran under — the same value the table recorders log.
+      // what a record cares about is the PRAM thread budget the solver ran
+      // under — the same value the table recorders log.
       sfcp::util::append_bench_record(path_, name, n, strategy, sfcp::pram::threads(), ms,
-                                      profile, counters);
+                                      profile);
     }
   }
 

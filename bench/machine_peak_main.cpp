@@ -1,6 +1,7 @@
 // bench_machine_peak — a tiny STREAM-triad-style probe measuring this
-// machine's achievable memory bandwidth, the denominator of the per-phase
-// roofline tools/profile_report.py prints.
+// machine's achievable memory bandwidth, the denominator of the solve
+// roofline tools/profile_report.py prints over bench_coarsest_partition's
+// solve/* phases.
 //
 //   ./bench_machine_peak [--n <doubles>] [--reps <k>] [--json <path>]
 //
@@ -8,7 +9,7 @@
 // (default 8 Mi doubles each, 192 MiB total), best-of-k after one untimed
 // warm pass.  Bytes are counted the STREAM way: 24 per element (two reads,
 // one write; write-allocate traffic is not charged).  With --json the
-// result lands in the same JSONL stream as the benches — name
+// result lands in the same JSONL stream as the solve bench — name
 // "machine_peak", n = bytes per pass — plus a one-node profile object, so
 // profile_report.py picks the peak up from the file automatically.
 //

@@ -83,13 +83,13 @@ std::unique_ptr<Engine> load_incremental_engine(std::istream& is, core::Options 
 }
 
 LoadedEngine load_engine_checkpoint(std::istream& is, core::Options opt,
-                                    pram::ExecutionContext ctx) {
+                                    pram::ExecutionContext ctx, inc::RepairPolicy policy) {
   util::BinaryReader r(is, "load_engine_checkpoint");
   unsigned char magic[8];
   r.get_bytes(magic, 8, "magic");
   if (std::memcmp(magic, util::checkpoint_magic().data(), 8) == 0) {
     return {std::make_unique<IncrementalEngine>(
-                inc::IncrementalSolver::load_body(is, opt, ctx, {})),
+                inc::IncrementalSolver::load_body(is, opt, ctx, policy)),
             "incremental"};
   }
   throw std::runtime_error(

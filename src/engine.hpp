@@ -249,11 +249,12 @@ struct LoadedEngine {
 
 /// Restores whichever checkpointable engine wrote the stream, detected from
 /// the 8-byte magic: the `sfcp-checkpoint v1` magic yields an
-/// IncrementalEngine.  Throws std::runtime_error on any other magic or a
-/// malformed stream.
+/// IncrementalEngine running `policy`.  Throws std::runtime_error on any
+/// other magic or a malformed stream.
 LoadedEngine load_engine_checkpoint(std::istream& is,
                                     core::Options opt = core::Options::parallel(),
-                                    pram::ExecutionContext ctx = {});
+                                    pram::ExecutionContext ctx = {},
+                                    inc::RepairPolicy policy = {});
 
 // ---- engine registry -----------------------------------------------------
 

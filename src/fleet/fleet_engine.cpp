@@ -208,7 +208,8 @@ void FleetEngine::fault_in_(u32 si) {
     }
     is.clear();
     is.seekg(0);
-    LoadedEngine loaded = load_engine_checkpoint(is, cfg_.options, instance_ctx_());
+    LoadedEngine loaded =
+        load_engine_checkpoint(is, cfg_.options, instance_ctx_(), cfg_.repair);
     if (loaded.kind != cfg_.engine) {
       throw std::runtime_error("fleet::fault_in: instance " + std::to_string(s.id) +
                                " checkpoint kind '" + std::string(loaded.kind) +

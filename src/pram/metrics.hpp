@@ -217,7 +217,7 @@ inline void charge_edit(bool repaired, std::uint64_t dirty, std::uint64_t ns = 0
 
 /// Charges one view production: `patched` selects the incremental-delta vs.
 /// fresh-root counter, `nodes` is the delta size (or n for a root).  This is
-/// what the O(dirty) view tests and bench_snapshot assert against.
+/// what the O(dirty) view tests assert against.
 inline void charge_view(bool patched, std::uint64_t nodes) noexcept {
   if (Metrics* m = current_metrics()) {
     (patched ? m->view_patched : m->view_rebuilt).fetch_add(nodes, std::memory_order_relaxed);

@@ -33,13 +33,6 @@ void append_bench_record(const std::string& path, const std::string& name, u64 n
 void append_bench_record(const std::string& path, const std::string& name, u64 n,
                          const std::string& strategy, int threads, double ms,
                          const prof::ProfileTree& profile) {
-  append_bench_record(path, name, n, strategy, threads, ms, profile, {});
-}
-
-void append_bench_record(const std::string& path, const std::string& name, u64 n,
-                         const std::string& strategy, int threads, double ms,
-                         const prof::ProfileTree& profile,
-                         const std::vector<std::pair<std::string, double>>& counters) {
   if (path.empty()) return;
   std::ofstream os(path, std::ios::app);
   if (!os) throw std::runtime_error("append_bench_record: cannot open " + path);
@@ -58,18 +51,6 @@ void append_bench_record(const std::string& path, const std::string& name, u64 n
       append_escaped(os, p.path);
       os << "\":{\"ns\":" << p.ns << ",\"count\":" << p.count << ",\"flops\":" << p.flops
          << ",\"bytes\":" << p.bytes << '}';
-    }
-    os << '}';
-  }
-  if (!counters.empty()) {
-    os << ",\"counters\":{";
-    bool first = true;
-    for (const auto& [key, value] : counters) {
-      if (!first) os << ',';
-      first = false;
-      os << '"';
-      append_escaped(os, key);
-      os << "\":" << value;
     }
     os << '}';
   }

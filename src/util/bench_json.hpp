@@ -1,8 +1,7 @@
 #pragma once
 // Machine-readable benchmark records: every bench/table target accepts
 // `--json <path>` (or `--json=<path>`) and appends one JSON object per
-// measured row to that file (JSON Lines), so perf trajectories can be
-// recorded across commits:
+// measured row to that file (JSON Lines):
 //
 //   {"name":"e1_sfcp","n":16384,"strategy":"parallel","threads":8,"ms":12.3}
 //
@@ -10,17 +9,16 @@
 // profiler installed), the record additionally gets a flattened `profile`
 // object keyed by scope path:
 //
-//   ...,"profile":{"serve/epoch_apply":{"ns":1234,"count":8,"flops":0,
+//   ...,"profile":{"solve/tree_label":{"ns":1234,"count":8,"flops":0,
 //   "bytes":4096},...}}
 //
 // Table mains use BenchJson; google-benchmark targets get the flag from the
 // shared bench/json_main.cpp reporter.  tools/profile_report.py renders the
-// profile objects as a roofline table; tools/bench_diff.py diffs the phase
-// times warn-only.
+// profile objects as a roofline table; tools/bench_diff.py compares two
+// runs.  End-to-end performance is perfbench's job, not these records'.
 
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "pram/types.hpp"
 #include "prof/profile.hpp"
@@ -37,14 +35,6 @@ void append_bench_record(const std::string& path, const std::string& name, u64 n
 void append_bench_record(const std::string& path, const std::string& name, u64 n,
                          const std::string& strategy, int threads, double ms,
                          const prof::ProfileTree& profile);
-
-/// Same, additionally carrying the run's named counters (google-benchmark
-/// state.counters — e.g. the fleet bench's warm_bytes / evictions) as a
-/// `counters` object; omitted when empty, so the classic shape survives.
-void append_bench_record(const std::string& path, const std::string& name, u64 n,
-                         const std::string& strategy, int threads, double ms,
-                         const prof::ProfileTree& profile,
-                         const std::vector<std::pair<std::string, double>>& counters);
 
 /// Extracts `--json <path>` / `--json=<path>` from argv (removing the
 /// consumed arguments and updating argc); returns "" when absent.  A bare

@@ -334,6 +334,46 @@ TEST(FleetEngine, ArenaRecyclesAcrossEvictChurn) {
   EXPECT_GT(fleet.stats().arena_bytes, 0u);
 }
 
+TEST(FleetEngine, FaultInKeepsConfiguredRepairPolicy) {
+  // A faulted-in incremental tenant runs FleetConfig::repair, as the cold
+  // batch built it.  At 24 nodes the default policy re-solves every
+  // non-empty apply (batch_rebuild_threshold(24) == 1); fraction 1.0 lets a
+  // one-edit apply repair, so a tenant restored with the default policy
+  // counts its next edit as a rebuild.
+  pram::Metrics metrics;
+  fleet::FleetConfig cfg;
+  cfg.engine = "incremental";
+  cfg.repair.batch_rebuild_fraction = 1.0;
+  cfg.ctx.metrics = &metrics;
+  fleet::FleetEngine fleet(std::move(cfg));
+  graph::Instance ref = make_instance(3, 24);
+  fleet.create(3, ref);
+
+  struct Counted {
+    u64 repairs, rebuilds;
+  };
+  const auto apply_one = [&](inc::Edit e) {
+    const pram::MetricsSnapshot before = metrics.snapshot();
+    (void)fleet.apply(3, std::vector<inc::Edit>{e});
+    inc::apply_raw(e, ref.f, ref.b);
+    const pram::MetricsSnapshot after = metrics.snapshot();
+    return Counted{after.edit_repairs - before.edit_repairs,
+                   after.edit_rebuilds - before.edit_rebuilds};
+  };
+
+  // Fresh labels, so neither edit is a no-op.
+  const Counted warm = apply_one(inc::Edit::set_b(5, 7));
+  EXPECT_EQ(warm.repairs, 1u);
+  EXPECT_EQ(warm.rebuilds, 0u);
+
+  ASSERT_TRUE(fleet.evict(3));
+  const Counted faulted = apply_one(inc::Edit::set_b(9, 8));
+  EXPECT_EQ(fleet.stats().faults, 1u);
+  EXPECT_EQ(faulted.repairs, 1u) << "the faulted-in tenant lost FleetConfig::repair";
+  EXPECT_EQ(faulted.rebuilds, 0u);
+  EXPECT_EQ(to_vec(fleet.view(3).labels()), core::Solver().solve(ref).q);
+}
+
 // ---- batched cold-start --------------------------------------------------
 
 TEST(FleetEngine, ColdFloodFunnelsThroughSolveBatch) {

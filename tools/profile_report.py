@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Per-phase roofline report over BENCH_*.json profile objects.
+"""Per-phase roofline report over bench `--json` profile objects.
 
 SFCP_PROFILE builds attach a flattened phase profile to every JSONL bench
 record (src/util/bench_json.hpp):
 
-    {"name":"BM_ServePipelinedEdits","...","ms":1.2,
-     "profile":{"serve/epoch_apply":{"ns":900000,"count":8,"flops":0,
+    {"name":"BM_Sfcp","...","ms":1.2,
+     "profile":{"solve/tree_label":{"ns":900000,"count":8,"flops":0,
                 "bytes":73728},...}}
 
 This tool renders those profiles as indented trees with total/self time and
 achieved GB/s / GFLOP/s per phase, against a measured machine peak:
 
-    tools/profile_report.py BENCH_serve.json [BENCH_peak.json ...]
+    tools/profile_report.py solve.json [peak.json ...]
                             [--peak <GB/s>] [--top <k>]
 
 The peak comes from (first match wins): --peak, or any "machine_peak"
@@ -25,27 +25,12 @@ the parent's wall time — self time is clamped at zero there.  GB/s and
 GFLOP/s divide a phase's OWN charged traffic by its own wall time (charges
 are not rolled up into ancestors).
 
-Families whose root was never recorded as a scope of its own (the fleet
-engine's fleet/route | fleet/fault_in | fleet/evict | fleet/cold_batch)
-are grouped under a synthesized rollup row summing their maximal members,
-so the report reads the same whether or not the root phase exists.
-Records carrying google-benchmark `counters` (bench_fleet exports its
-FleetStats that way) get derived fleet lines under the table: evictions/sec
-through the evict path, fault-in ms/call, the exported fault-in-inclusive
-view p99, and the warm-set bound.  Records with the pooled warm-fan phases
-(fleet/warm_fan = bucket dispatch, fleet/epoch_wait = the closing barrier)
-additionally get a per-barrier cost line, and records whose strategy
-carries a /t<k> thread-width segment (BM_FleetConcurrentEdits/zipf/t4)
-are grouped into a warm-fan scaling section after the tables: speedup vs
-the family's t1 lane and the implied parallel efficiency (speedup/width).
-
 `--selftest` runs the built-in checks and exits (used by ctest).
 """
 
 import argparse
 import json
 import os
-import re
 import sys
 import tempfile
 
@@ -53,16 +38,11 @@ import tempfile
 def load(paths):
     """paths -> (profiles, peak_gbps|None).
 
-    profiles: list of (label, {path: {ns,count,flops,bytes}}, {counter: v},
-    meta) in file order, one entry per record that carried a non-empty
-    profile, merged across repeated records of the same benchmark key
-    (ns/count/flops/bytes sum; counters are gauges, so the last record
-    wins).  meta carries {"name", "strategy", "ms"} with ms reduced to the
-    best-of minimum — what the warm-fan scaling section anchors on.
+    profiles: list of (label, {path: {ns,count,flops,bytes}}) in file order,
+    one entry per record that carried a non-empty profile, merged across
+    repeated records of the same benchmark key (ns/count/flops/bytes sum).
     """
     merged = {}   # key -> {path: stats}
-    counters = {}  # key -> {name: value}
-    best_ms = {}  # key -> min ms
     order = []
     peak = None
     for path in paths:
@@ -93,12 +73,6 @@ def load(paths):
                                          {"ns": 0, "count": 0, "flops": 0, "bytes": 0})
                     for field in acc:
                         acc[field] += int(st.get(field, 0))
-                ms = float(rec.get("ms", 0))
-                if ms > 0 and (key not in best_ms or ms < best_ms[key]):
-                    best_ms[key] = ms
-                ctr = rec.get("counters")
-                if ctr:
-                    counters[key] = {k: float(v) for k, v in ctr.items()}
     labels = []
     for key in order:
         name, strategy, n, threads = key
@@ -109,8 +83,7 @@ def load(paths):
             parts.append(f"n={n}")
         if threads:
             parts.append(f"t={threads}")
-        meta = {"name": name, "strategy": strategy, "ms": best_ms.get(key, 0.0)}
-        labels.append((" ".join(parts), merged[key], counters.get(key, {}), meta))
+        labels.append((" ".join(parts), merged[key]))
     return labels, peak
 
 
@@ -132,125 +105,7 @@ def self_ns(phases, path):
     return max(phases[path]["ns"] - child, 0)
 
 
-def group_orphans(phases):
-    """Returns a copy with rollup rows for families without a recorded root.
-
-    When two or more paths share a top segment that was never recorded as a
-    phase of its own (fleet/route, fleet/evict, ... with no "fleet"), a
-    synthetic root summing the maximal members is added so the family
-    renders as one indented group.  Its self time nets to zero, so sums
-    stay honest.
-    """
-    phases = dict(phases)
-    families = {}
-    for path in phases:
-        seg = path.split("/", 1)[0]
-        if seg != path:
-            families.setdefault(seg, []).append(path)
-    for seg, members in families.items():
-        if seg in phases or len(members) < 2:
-            continue
-        agg = {"ns": 0, "count": 0, "flops": 0, "bytes": 0}
-        skip = None
-        for path in sorted(members):  # maximal members only: no double count
-            if skip and path.startswith(skip):
-                continue
-            for field in agg:
-                agg[field] += phases[path][field]
-            skip = path + "/"
-        phases[seg] = agg
-    return phases
-
-
-def fleet_summary(phases, counters):
-    """Derived fleet lines: evictions/sec through the evict path, fault-in
-    cost, the exported fault-in-inclusive view p99, and the warm-set bound.
-    Empty for records without fleet phases or fleet counters."""
-    counters = counters or {}
-    if (not any(p == "fleet" or p.startswith("fleet/") for p in phases)
-            and "evictions" not in counters):
-        return []
-    lines = []
-    evictions = counters.get("evictions")
-    evict = phases.get("fleet/evict")
-    if evictions and evict and evict["ns"] > 0:
-        rate = evictions / (evict["ns"] / 1e9)
-        lines.append(f"fleet: {evictions:,.0f} evictions, {rate:,.0f}/s "
-                     f"through fleet/evict")
-    parts = []
-    fault = phases.get("fleet/fault_in")
-    if fault and fault["count"]:
-        parts.append(f"fault-in {fault['ns'] / 1e6 / fault['count']:.3f} "
-                     f"ms/call x{fault['count']}")
-    if "p99_us" in counters:
-        parts.append(f"view p99 {counters['p99_us']:.1f} us "
-                     f"(fault-in inclusive)")
-    if parts:
-        lines.append("fleet: " + ", ".join(parts))
-    if "warm" in counters and "instances" in counters:
-        bound = (f"fleet: warm {counters['warm']:,.0f} of "
-                 f"{counters['instances']:,.0f} touched instances")
-        if "warm_bytes" in counters:
-            bound += f", warm bytes {counters['warm_bytes'] / 1e6:.2f} MB"
-        lines.append(bound)
-    # Pooled warm fan: per-barrier cost and where the caller's wall goes —
-    # dispatching buckets (fleet/warm_fan) vs blocked at the epoch barrier
-    # (fleet/epoch_wait, which also runs the caller lane's own buckets).
-    fan = phases.get("fleet/warm_fan")
-    wait = phases.get("fleet/epoch_wait")
-    if fan and wait and fan["count"]:
-        total = fan["ns"] + wait["ns"]
-        share = 100.0 * wait["ns"] / total if total else 0.0
-        lines.append(
-            f"fleet: warm fan {fan['count']:,} barriers, "
-            f"{total / 1e6 / fan['count']:.3f} ms/barrier "
-            f"(dispatch {fan['ns'] / 1e6 / fan['count']:.3f} ms, epoch_wait "
-            f"{wait['ns'] / 1e6 / fan['count']:.3f} ms = {share:.0f}% of fan wall)")
-    return lines
-
-
-WIDTH_SEG = re.compile(r"(?:^|/)t(\d+)(?=/|$)")
-
-
-def warm_fan_scaling(entries):
-    """Cross-record warm-fan scaling lines.
-
-    Groups entries whose strategy carries a /t<k> width segment into
-    families (name + strategy minus that segment) and, for families with a
-    t1 anchor, reports speedup = t1 ms / tk ms and the implied parallel
-    efficiency speedup/k — the warm-path number the pooled fleet exists
-    for.  The t1 lane runs poolless (the serial warm loop), so this is a
-    pooled-vs-serial ratio, not barrier accounting; on a one-core runner it
-    sits near 1x (see README "Fleet serving").
-    """
-    fams = {}
-    for _label, phases, _counters, meta in entries:
-        m = WIDTH_SEG.search(meta["strategy"])
-        if not m:
-            continue
-        fam = (meta["name"], WIDTH_SEG.sub("", meta["strategy"]).strip("/"))
-        fams.setdefault(fam, {})[int(m.group(1))] = (meta["ms"], phases)
-    lines = []
-    for fam, widths in sorted(fams.items()):
-        if widths.get(1, (0.0, None))[0] <= 0 or len(widths) < 2:
-            continue
-        base = widths[1][0]
-        for width in sorted(widths):
-            if width == 1:
-                continue
-            ms, phases = widths[width]
-            if ms <= 0:
-                continue
-            speedup = base / ms
-            eff = 100.0 * speedup / width
-            name, strategy = fam
-            lines.append(f"{name} {strategy} t{width}: {base:.3f} / {ms:.3f} ms"
-                         f" = {speedup:.2f}x vs t1, parallel efficiency {eff:.0f}%")
-    return lines
-
-
-def render(label, phases, peak, top=0, out=sys.stdout, counters=None):
-    phases = group_orphans(phases)
+def render(label, phases, peak, top=0, out=sys.stdout):
     out.write(f"== {label} ==\n")
     header = (f"{'phase':<36}{'count':>9}{'total ms':>12}{'ms/call':>12}"
               f"{'self ms':>12}{'GB/s':>9}{'GFLOP/s':>10}")
@@ -291,8 +146,6 @@ def render(label, phases, peak, top=0, out=sys.stdout, counters=None):
             row += (f"{100.0 * gbps / peak:>7.1f}%" if gbps is not None
                     else f"{'-':>8}")
         out.write(row + "\n")
-    for line in fleet_summary(phases, counters):
-        out.write(line + "\n")
     out.write("\n")
 
 
@@ -314,10 +167,8 @@ def selftest():
         labels, peak = load([path])
         assert peak is not None and abs(peak - 20.1326592) < 1e-6, peak
         assert len(labels) == 1, labels  # the profile-less record contributes nothing
-        label, phases, counters, meta = labels[0]
+        label, phases = labels[0]
         assert label == "BM_X localized n=256 t=4", label
-        assert counters == {}, counters
-        assert meta == {"name": "BM_X", "strategy": "localized", "ms": 2.0}, meta
         assert phases["serve"]["ns"] == 8_000_000, phases  # merged across records
         # self of "serve" = 8ms - (6ms apply + 1ms notify) = 1ms
         assert self_ns(phases, "serve") == 1_000_000, self_ns(phases, "serve")
@@ -346,82 +197,13 @@ def selftest():
         # Cross-thread oversubscription clamps, never goes negative.
         phases["serve/epoch_apply"]["ns"] = 1_000_000
         assert self_ns(phases, "serve/epoch_apply") == 0
-        # Fleet records: orphaned fleet/* phases group under a synthesized
-        # rollup, and the exported counters derive the summary lines.
-        fleet_rec = {
-            "name": "BM_FleetZipfEdits", "n": 1048576, "strategy": "zipf",
-            "threads": 0, "ms": 3.0,
-            "profile": {
-                "fleet/route": {"ns": 1_000_000, "count": 4096, "flops": 0,
-                                "bytes": 0},
-                "fleet/fault_in": {"ns": 2_000_000, "count": 8, "flops": 0,
-                                   "bytes": 0},
-                "fleet/evict": {"ns": 4_000_000_000, "count": 4000,
-                                "flops": 0, "bytes": 0},
-                "fleet/cold_batch": {"ns": 3_000_000, "count": 2, "flops": 0,
-                                     "bytes": 0}},
-            "counters": {"instances": 50000.0, "warm": 1024.0,
-                         "warm_bytes": 2_000_000.0, "evictions": 4000.0,
-                         "faults": 3900.0, "p99_us": 12.5}}
-        fpath = os.path.join(tmp, "fleet.json")
-        with open(fpath, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(fleet_rec) + "\n")
-        flabels, _ = load([fpath])
-        flabel, fphases, fcounters, _fmeta = flabels[0]
-        assert fcounters["p99_us"] == 12.5, fcounters
-        grouped = group_orphans(fphases)
-        assert grouped["fleet"]["ns"] == 4_006_000_000, grouped
-        assert self_ns(grouped, "fleet") == 0  # rollup nets to zero self
-        lines = fleet_summary(grouped, fcounters)
-        # 4000 evictions over 4 s of fleet/evict -> 1,000/s.
-        assert any("1,000/s" in l for l in lines), lines
-        assert any("view p99 12.5 us" in l for l in lines), lines
-        assert any("warm 1,024 of 50,000" in l for l in lines), lines
-        buf = io.StringIO()
-        render(flabel, fphases, None, out=buf, counters=fcounters)
-        text = buf.getvalue()
-        assert "  route" in text and "  evict" in text, text  # grouped rows
-        assert "fleet: " in text, text
-        # Non-fleet records stay summary-free.
-        assert fleet_summary(phases, {}) == [], "non-fleet must not summarize"
-
-        # Pooled warm-fan records: the per-barrier line splits the fan wall
-        # into dispatch vs epoch_wait, and /t<k> families get a scaling
-        # section anchored on the (fan-phase-free, poolless) t1 lane.
-        def fan_rec(width, ms, with_fan):
-            prof = {"fleet/route": {"ns": 500_000, "count": 256, "flops": 0,
-                                    "bytes": 0}}
-            if with_fan:
-                prof["fleet/warm_fan"] = {"ns": 2_000_000, "count": 10,
-                                          "flops": 0, "bytes": 0}
-                prof["fleet/epoch_wait"] = {"ns": 8_000_000, "count": 10,
-                                            "flops": 0, "bytes": 0}
-            return {"name": "BM_FleetConcurrentEdits", "n": 0,
-                    "strategy": f"zipf/t{width}", "threads": 1, "ms": ms,
-                    "profile": prof}
-        spath = os.path.join(tmp, "scaling.json")
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(fan_rec(1, 12.0, False)) + "\n")
-            fh.write(json.dumps(fan_rec(4, 4.0, True)) + "\n")
-        slabels, _ = load([spath])
-        _, s4_phases, _, _ = slabels[1]
-        fan_lines = fleet_summary(s4_phases, {})
-        # 10 barriers, (2ms + 8ms)/10 = 1.000 ms/barrier, wait = 80% of fan.
-        assert any("10 barriers" in l and "1.000 ms/barrier" in l
-                   and "80% of fan wall" in l for l in fan_lines), fan_lines
-        slines = warm_fan_scaling(slabels)
-        # 12ms / 4ms = 3x at width 4 -> 75% parallel efficiency.
-        assert len(slines) == 1, slines
-        assert "3.00x vs t1" in slines[0] and "efficiency 75%" in slines[0], slines
-        # No t1 anchor -> no scaling section (never divides by zero).
-        assert warm_fan_scaling(slabels[1:]) == [], "t1 anchor required"
     print("profile_report selftest: ok")
     return 0
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("files", nargs="*", help="BENCH_*.json record files")
+    parser.add_argument("files", nargs="*", help="bench --json record files")
     parser.add_argument("--peak", type=float, default=None,
                         help="machine peak GB/s (overrides machine_peak records)")
     parser.add_argument("--top", type=int, default=0,
@@ -433,7 +215,7 @@ def main():
     if args.selftest:
         return selftest()
     if not args.files:
-        parser.error("at least one BENCH_*.json file is required (or --selftest)")
+        parser.error("at least one record file is required (or --selftest)")
 
     labels, file_peak = load(args.files)
     peak = args.peak if args.peak else file_peak
@@ -447,13 +229,8 @@ def main():
         print("no profile objects found — build with -DSFCP_PROFILE=ON and rerun "
               "the bench with --json")
         return 0
-    for label, phases, counters, _meta in labels:
-        render(label, phases, peak, top=args.top, counters=counters)
-    scaling = warm_fan_scaling(labels)
-    if scaling:
-        print("warm-fan threads-scaling (speedup vs the t1 lane):")
-        for line in scaling:
-            print(f"  {line}")
+    for label, phases in labels:
+        render(label, phases, peak, top=args.top)
     return 0
 
 
