@@ -1,4 +1,4 @@
-// A1 — ablation of the pair-renaming strategy (DESIGN.md §4).
+// A1 — ablation of the pair-renaming strategy.
 //
 // Two renamings realize the paper's label assignments:
 //   * rename_sorted — order-preserving dense ranks via stable integer sort

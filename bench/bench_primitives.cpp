@@ -79,9 +79,12 @@ void BM_EulerTourBuild(benchmark::State& state) {
   util::Rng rng(4);
   const auto inst = util::random_function(n, 3, rng);
   const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
-  const auto forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
+  graph::ForestContext fc;
+  graph::build_forest_context_into(inst.f, cs.on_cycle, graph::ForestStrategy::EulerTour, fc);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::build_euler_tour(forest));
+    graph::build_euler_tour_into(fc.forest, fc.tour);
+    benchmark::DoNotOptimize(fc.tour.order.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(n));
 }

@@ -1,6 +1,6 @@
 // E6 — Lemma 4.3: tree node labelling in O(n) operations.
 //
-// Ablation of the three step-5 strategies (DESIGN.md): LevelSynchronous
+// Ablation of the three step-5 strategies: LevelSynchronous
 // realizes the Kedem–Palem O(n)-operation bound (depth = tree height),
 // AncestorDoubling trades O(n log d) work for O(log n) depth, and
 // SequentialDFS is the reference.  Shapes: deep path (worst depth), bushy

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   std::cout << "  longest cycle:       " << longest << "\n";
 
   // Tail depth distribution via the rooted forest.
-  const auto forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
-  const auto lv = graph::forest_levels(forest, graph::ForestStrategy::EulerTour);
+  graph::ForestContext lv;
+  graph::build_forest_context_into(inst.f, cs.on_cycle, graph::ForestStrategy::EulerTour, lv);
   u32 max_level = 0;
   u64 level_sum = 0;
   for (u32 x = 0; x < n; ++x) {

@@ -173,40 +173,40 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   out.kept = 0;
   out.residual = 0;
 
-  const graph::RootedForest forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
-  const graph::ForestLevels lv = graph::forest_levels(forest, opt.forest);
+  graph::ForestContext& fc = out.forest;
+  graph::build_forest_context_into(inst.f, cs.on_cycle, opt.forest, fc);
 
   // Steps 1-2: mark tree nodes whose B-label matches the corresponding
-  // cycle node (Lemma 4.1); cycle nodes are trivially marked.
-  std::vector<u8> marked(n, 1);
-  std::vector<u32> corresponding(n, kNone);
+  // cycle node (Lemma 4.1); cycle nodes are trivially marked.  Every tree
+  // node takes its corresponding node's Q-label for now; `bad` flags the
+  // unmarked ones.
+  std::vector<u32> bad(n);
   pram::parallel_for(0, n, [&](std::size_t x) {
-    if (cs.on_cycle[x]) return;
-    const u32 r = lv.root_of[x];
+    if (cs.on_cycle[x]) {
+      bad[x] = 0;
+      return;
+    }
+    const u32 r = fc.root_of[x];
     const u32 c = cs.cycle_of[r];
     const u32 k = cs.length[r];
-    const u32 t = (cs.rank[r] + (k - lv.level[x] % k)) % k;
+    const u32 t = (cs.rank[r] + (k - fc.level[x] % k)) % k;
     const u32 y = cs.node_at(c, t);
-    corresponding[x] = y;
-    marked[x] = inst.b[x] == inst.b[y] ? 1 : 0;
+    out.q[x] = cl.q[y];
+    bad[x] = inst.b[x] == inst.b[y] ? 0 : 1;
   });
 
-  // Step 3: keep a node iff its whole root path is marked — root-path sum
-  // of "unmarked" indicators must be zero.
-  std::vector<i64> bad(n);
-  pram::parallel_for(0, n, [&](std::size_t x) { bad[x] = marked[x] ? 0 : 1; });
-  const std::vector<i64> bad_on_path = graph::root_path_sums(forest, bad, opt.forest);
+  // Step 3: keep a node iff its whole root path is marked — the root-path
+  // count of unmarked nodes must be zero.
+  graph::root_path_sums(fc, bad, bad);
 
-  // Step 4: kept nodes copy their corresponding cycle node's Q-label.
+  // Step 4: kept nodes keep their corresponding cycle node's Q-label; the
+  // rest form the residual forest, unlabelled until step 5.
   Residual res;
   res.is_residual.assign(n, 0);
   pram::parallel_for(0, n, [&](std::size_t x) {
-    if (cs.on_cycle[x]) return;
-    if (bad_on_path[x] == 0) {
-      out.q[x] = cl.q[corresponding[x]];
-    } else {
-      res.is_residual[x] = 1;
-    }
+    if (bad[x] == 0) return;
+    out.q[x] = kNone;
+    res.is_residual[x] = 1;
   });
   res.nodes = prim::pack_index(res.is_residual);
   out.residual = static_cast<u32>(res.nodes.size());
@@ -216,13 +216,13 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   const u32 fresh_base = cl.num_labels;
   switch (opt.strategy) {
     case TreeLabelStrategy::LevelSynchronous:
-      label_level_synchronous(inst, res, lv.level, out.q, fresh_base);
+      label_level_synchronous(inst, res, fc.level, out.q, fresh_base);
       break;
     case TreeLabelStrategy::AncestorDoubling:
       label_ancestor_doubling(inst, res, out.q, fresh_base);
       break;
     case TreeLabelStrategy::SequentialDFS:
-      label_sequential_dfs(inst, forest, res, out.q, fresh_base);
+      label_sequential_dfs(inst, fc.forest, res, out.q, fresh_base);
       break;
   }
 }

@@ -1,15 +1,19 @@
 #pragma once
 // Q-labels of tree nodes — Section 4, Algorithm "tree node labeling".
 //
-// Step 1-2: compute levels; a tree node x at level l is "marked" iff its
-// B-label equals that of its corresponding cycle node f^{k - (l mod k)}(r)
-// (Lemma 4.1).  Step 3: a node keeps its mark only if its whole root path
-// is marked (one root-path prefix sum instead of iterative unmarking).
-// Step 4: kept nodes copy the Q-label of their corresponding cycle node.
-// Step 5 (Lemma 4.2): the residual forest is labelled so that
-// Q[x] = Q[y] iff B[x] = B[y] and Q[f(x)] = Q[f(y)] — realized by a global
-// (B, Q_parent) -> fresh-label renaming.  Three strategies bracket the
-// paper's Kedem–Palem O(n)-operation bound (see DESIGN.md):
+// The forest facts every step needs (levels, owning roots, root-path sums)
+// come from one graph::ForestContext per solve: under the paper's
+// EulerTour strategy that is one Euler tour, list-ranked once.
+// Step 1-2: a tree node x at level l is "marked" iff its B-label equals
+// that of its corresponding cycle node f^{k - (l mod k)}(r) (Lemma 4.1).
+// Step 3: a node keeps its mark only if its whole root path is marked (one
+// root-path prefix sum instead of iterative unmarking).  Step 4: kept nodes
+// copy the Q-label of their corresponding cycle node.  Step 5 (Lemma 4.2):
+// the residual forest is labelled so that Q[x] = Q[y] iff B[x] = B[y] and
+// Q[f(x)] = Q[f(y)] — realized by a global (B, Q_parent) -> fresh-label
+// renaming.  The paper reaches O(n) operations in O(log n) time here with
+// Kedem–Palem's renaming.  The first two strategies bracket that bound,
+// each giving up one half of it; the third is the sequential reference:
 //   * LevelSynchronous — O(n) work, depth = residual tree height
 //   * AncestorDoubling — O(log n) depth, O(n log depth) work
 //   * SequentialDFS    — O(n) reference
@@ -36,14 +40,17 @@ struct TreeLabeling {
   std::vector<u32> q;  ///< complete labelling (cycle labels passed through)
   u32 kept = 0;        ///< tree nodes that reuse a cycle label (steps 2-4)
   u32 residual = 0;    ///< tree nodes labelled in step 5
+  /// The solve's forest, levels, roots and tour.  It views the instance's f
+  /// and the cycle structure's on_cycle, so read it only while both live.
+  graph::ForestContext forest;
 };
 
 /// Extends the cycle labelling `cl` to all tree nodes.
 TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructure& cs,
                          const CycleLabeling& cl, const TreeLabelingOptions& opt = {});
 
-/// Workspace-reusing variant: rebuilds `out` in place, reusing its vector's
-/// capacity across calls.
+/// Workspace-reusing variant: rebuilds `out` in place, reusing the capacity
+/// of its labels and forest context across calls.
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out);
 

@@ -12,12 +12,10 @@ Components connected_components(std::span<const u32> f, ForestStrategy strategy)
   out.id.assign(n, kNone);
   if (n == 0) return out;
   const CycleStructure cs = cycle_structure(f, CycleStructureStrategy::PointerJumping);
-  const RootedForest forest = build_rooted_forest(f, cs.on_cycle);
-  const ForestLevels lv = forest_levels(forest, strategy);
+  ForestContext fc;
+  build_forest_context_into(f, cs.on_cycle, strategy, fc);
   // Component id = dense cycle id of the owning root's cycle.
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    out.id[x] = cs.cycle_of[lv.root_of[x]];
-  });
+  pram::parallel_for(0, n, [&](std::size_t x) { out.id[x] = cs.cycle_of[fc.root_of[x]]; });
   const std::size_t k = cs.num_cycles();
   std::vector<std::atomic<u32>> sizes(k);
   pram::parallel_for(0, k, [&](std::size_t c) { sizes[c].store(0, std::memory_order_relaxed); });

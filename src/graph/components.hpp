@@ -1,8 +1,8 @@
 #pragma once
 // Weakly connected components of a functional graph: each component is a
 // pseudo-tree, identified canonically by its cycle's leader node.  Built on
-// the cycle structure + rooted forest machinery; used by the examples and
-// by workload analysis in the benches.
+// the cycle structure and the forest context's owning roots.  Only the
+// tests call it.
 
 #include <span>
 #include <vector>

@@ -1,25 +1,33 @@
 #include "graph/euler_tour.hpp"
 
-#include <cassert>
-
 #include "graph/rooted_forest.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
 
 namespace sfcp::graph {
 
-EulerTour build_euler_tour(const RootedForest& forest, prim::ListRankStrategy ranking) {
+namespace {
+
+u32 head_arc(const RootedForest& forest, u32 r) {
+  return EulerTour::down_arc(forest.child[forest.child_off[r]]);
+}
+
+u32 tail_arc(const RootedForest& forest, u32 r) {
+  return EulerTour::up_arc(forest.child[forest.child_off[r + 1] - 1]);
+}
+
+}  // namespace
+
+void build_euler_tour_into(const RootedForest& forest, EulerTour& tour,
+                           prim::ListRankStrategy ranking) {
   const std::size_t n = forest.size();
-  EulerTour tour;
-  tour.pos.assign(2 * n, kNone);
-  // Successor of each arc in the chained tour.
-  std::vector<u32> succ(2 * n, kNone);
-  std::vector<u8> used(2 * n, 0);
+  // Successor of each arc in the chained tour.  It lives in `pos` until the
+  // list is ranked; roots' arcs stay kNone in both roles.
+  std::vector<u32>& succ = tour.pos;
+  succ.assign(2 * n, kNone);
   pram::parallel_for(0, n, [&](std::size_t xi) {
     const u32 x = static_cast<u32>(xi);
     if (forest.is_root[x]) return;
-    used[EulerTour::down_arc(x)] = 1;
-    used[EulerTour::up_arc(x)] = 1;
     // down-arc: descend to the first child, or bounce straight back up.
     succ[EulerTour::down_arc(x)] = forest.degree(x) > 0
                                        ? EulerTour::down_arc(forest.child[forest.child_off[x]])
@@ -34,36 +42,36 @@ EulerTour build_euler_tour(const RootedForest& forest, prim::ListRankStrategy ra
     }  // else: end of this tree's tour (chained below)
   });
   // Chain the per-tree tours in ascending root order.
-  const std::vector<u32> tree_roots = prim::pack_index_if(forest.roots.size(), [&](std::size_t i) {
+  const std::vector<u32> trees = prim::pack_index_if(forest.roots.size(), [&](std::size_t i) {
     return forest.degree(forest.roots[i]) > 0;
   });
-  std::vector<u32> heads(tree_roots.size()), tails(tree_roots.size());
-  pram::parallel_for(0, tree_roots.size(), [&](std::size_t i) {
-    const u32 r = forest.roots[tree_roots[i]];
-    heads[i] = EulerTour::down_arc(forest.child[forest.child_off[r]]);
-    tails[i] = EulerTour::up_arc(forest.child[forest.child_off[r + 1] - 1]);
+  tour.seg_root.resize(trees.size());
+  pram::parallel_for(0, trees.size(), [&](std::size_t i) {
+    tour.seg_root[i] = forest.roots[trees[i]];
   });
-  pram::parallel_for(0, tree_roots.size(), [&](std::size_t i) {
-    if (i + 1 < tree_roots.size()) succ[tails[i]] = heads[i + 1];
-  });
-  // Rank the single chained list; position = rank(head) - rank(arc).
-  const std::vector<u32> rank = prim::list_rank(succ, ranking);
-  const std::size_t total = heads.empty() ? 0 : static_cast<std::size_t>(rank[heads[0]]) + 1;
-  tour.order.assign(total, kNone);
-  tour.seg_start.assign(total, 0);
-  if (!heads.empty()) {
-    const u32 head_rank = rank[heads[0]];
-    pram::parallel_for(0, 2 * n, [&](std::size_t a) {
-      if (!used[a]) return;
-      const u32 p = head_rank - rank[a];
-      tour.pos[a] = p;
-      tour.order[p] = static_cast<u32>(a);
-    });
-    pram::parallel_for(0, heads.size(), [&](std::size_t i) {
-      tour.seg_start[tour.pos[heads[i]]] = 1;
-    });
+  const std::size_t total = 2 * (n - forest.roots.size());
+  if (total == 0) {  // no tree nodes: nothing to rank, and `pos` is all kNone
+    tour.order.clear();
+    tour.seg_start.clear();
+    return;
   }
-  return tour;
+  pram::parallel_for(1, trees.size(), [&](std::size_t i) {
+    succ[tail_arc(forest, tour.seg_root[i - 1])] = head_arc(forest, tour.seg_root[i]);
+  });
+  // Rank the single chained list: the head has rank total - 1, so
+  // position = total - 1 - rank.
+  const std::vector<u32> rank = prim::list_rank(succ, ranking);
+  tour.order.resize(total);
+  tour.seg_start.assign(total, 0);
+  pram::parallel_for(0, 2 * n, [&](std::size_t a) {
+    if (forest.is_root[EulerTour::arc_node(static_cast<u32>(a))]) return;
+    const u32 p = static_cast<u32>(total - 1) - rank[a];
+    tour.pos[a] = p;
+    tour.order[p] = static_cast<u32>(a);
+  });
+  pram::parallel_for(0, trees.size(), [&](std::size_t i) {
+    tour.seg_start[tour.pos[head_arc(forest, tour.seg_root[i])]] = 1;
+  });
 }
 
 }  // namespace sfcp::graph

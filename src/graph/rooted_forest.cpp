@@ -1,143 +1,107 @@
 #include "graph/rooted_forest.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cassert>
 
-#include "graph/euler_tour.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
-#include "prim/integer_sort.hpp"
 #include "prim/scan.hpp"
 
 namespace sfcp::graph {
 
-RootedForest build_rooted_forest(std::span<const u32> f, std::span<const u8> on_cycle) {
+void build_rooted_forest_into(std::span<const u32> f, std::span<const u8> on_cycle,
+                              RootedForest& out) {
   const std::size_t n = f.size();
-  RootedForest forest;
-  forest.parent.assign(f.begin(), f.end());
-  forest.is_root.assign(on_cycle.begin(), on_cycle.end());
-  forest.roots = prim::pack_index_if(n, [&](std::size_t x) { return on_cycle[x] != 0; });
-  // Tree nodes, stably sorted by parent: gives children lists with siblings
-  // in ascending order (deterministic across strategies).
-  const std::vector<u32> tree_nodes =
-      prim::pack_index_if(n, [&](std::size_t x) { return on_cycle[x] == 0; });
-  std::vector<u64> keys(tree_nodes.size());
-  pram::parallel_for(0, tree_nodes.size(), [&](std::size_t i) { keys[i] = f[tree_nodes[i]]; });
-  const std::vector<u32> order = prim::sort_order_by_key(keys, n > 0 ? n - 1 : 0);
-  forest.child.resize(tree_nodes.size());
-  pram::parallel_for(0, order.size(), [&](std::size_t i) {
-    forest.child[i] = tree_nodes[order[i]];
+  out.parent = f;
+  out.is_root = on_cycle;
+  out.roots = prim::pack_index(on_cycle);
+  // CSR by counting: parent p's child count goes to child_off[p + 1], so
+  // after an exclusive scan child_off[p + 1] is p's first slot, and bumping
+  // it once per placed child leaves it at p + 1's first slot.
+  out.child_off.assign(n + 1, 0);
+  const auto bump = [&](u32 p) {
+    return std::atomic_ref<u32>(out.child_off[p + 1]).fetch_add(1, std::memory_order_relaxed);
+  };
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    if (!on_cycle[x]) bump(f[x]);
   });
-  // Offsets: counts per parent, then a scan.
-  std::vector<u32> counts(n, 0);
-  {
-    std::vector<std::atomic<u32>> cnt(n);
-    pram::parallel_for(0, n, [&](std::size_t v) { cnt[v].store(0, std::memory_order_relaxed); });
-    pram::parallel_for(0, tree_nodes.size(), [&](std::size_t i) {
-      cnt[f[tree_nodes[i]]].fetch_add(1, std::memory_order_relaxed);
-    });
-    pram::parallel_for(0, n, [&](std::size_t v) { counts[v] = cnt[v].load(std::memory_order_relaxed); });
-  }
-  forest.child_off.assign(n + 1, 0);
-  const u32 total = prim::exclusive_scan<u32>(counts, std::span<u32>(forest.child_off).first(n));
-  forest.child_off[n] = total;
-  assert(total == forest.child.size());
-  forest.sibling_index.assign(n, 0);
-  pram::parallel_for(0, forest.child.size(), [&](std::size_t i) {
-    forest.sibling_index[forest.child[i]] = static_cast<u32>(i) - forest.child_off[forest.parent[forest.child[i]]];
+  out.child.resize(prim::exclusive_scan<u32>(out.child_off, out.child_off));
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    if (!on_cycle[x]) out.child[bump(f[x])] = static_cast<u32>(x);
   });
-  return forest;
+  // The atomics placed siblings in any order; ascending order makes the
+  // forest (and so the Euler tour) the same whatever the scheduling.
+  out.sibling_index.assign(n, 0);
+  pram::parallel_for(0, n, [&](std::size_t p) {
+    const auto first = out.child.begin() + out.child_off[p];
+    const auto last = out.child.begin() + out.child_off[p + 1];
+    std::sort(first, last);
+    for (auto c = first; c != last; ++c) out.sibling_index[*c] = static_cast<u32>(c - first);
+  });
 }
 
 namespace {
 
-ForestLevels levels_sequential(const RootedForest& forest) {
-  const std::size_t n = forest.size();
-  ForestLevels out;
-  out.level.assign(n, 0);
-  out.root_of.assign(n, kNone);
-  std::vector<u32> stack;
+void levels_sequential(ForestContext& ctx) {
+  const RootedForest& forest = ctx.forest;
+  std::vector<u32>& stack = ctx.scratch;
+  stack.clear();
   for (const u32 r : forest.roots) {
-    out.root_of[r] = r;
+    ctx.level[r] = 0;
+    ctx.root_of[r] = r;
     stack.push_back(r);
     while (!stack.empty()) {
       const u32 v = stack.back();
       stack.pop_back();
       for (u32 i = forest.child_off[v]; i < forest.child_off[v + 1]; ++i) {
         const u32 c = forest.child[i];
-        out.level[c] = out.level[v] + 1;
-        out.root_of[c] = r;
+        ctx.level[c] = ctx.level[v] + 1;
+        ctx.root_of[c] = r;
         stack.push_back(c);
       }
     }
   }
-  pram::charge(n);
-  return out;
+  pram::charge(forest.size());
 }
 
-ForestLevels levels_euler(const RootedForest& forest) {
-  const std::size_t n = forest.size();
-  ForestLevels out;
-  out.level.assign(n, 0);
-  out.root_of.assign(n, kNone);
-  const EulerTour tour = build_euler_tour(forest);
-  const std::size_t T = tour.order.size();
-  // +1 on a down-arc, -1 on an up-arc; the segmented prefix sum at a node's
-  // down-arc is exactly its level.
-  std::vector<i64> vals(T);
-  pram::parallel_for(0, T, [&](std::size_t p) {
-    vals[p] = EulerTour::is_down(tour.order[p]) ? 1 : -1;
+void levels_euler(ForestContext& ctx) {
+  const RootedForest& forest = ctx.forest;
+  const EulerTour& tour = ctx.tour;
+  std::vector<u32>& pre = ctx.scratch;
+  pre.resize(tour.order.size());
+  // +1 on a down-arc, -1 (mod 2^32) on an up-arc: the prefix sum at a
+  // node's down-arc is its level.
+  pram::parallel_for(0, pre.size(), [&](std::size_t p) {
+    pre[p] = EulerTour::is_down(tour.order[p]) ? 1u : ~0u;
   });
-  std::vector<i64> pre(T);
-  prim::segmented_inclusive_scan<i64>(vals, tour.seg_start, pre);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) {
-      out.root_of[x] = static_cast<u32>(x);
-      return;
-    }
-    out.level[x] = static_cast<u32>(pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]]);
+  prim::inclusive_scan<u32>(pre, pre);
+  pram::parallel_for(0, forest.size(), [&](std::size_t x) {
+    ctx.level[x] =
+        forest.is_root[x] ? 0 : pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
   });
-  // Owning root: propagate the segment head's root with a segmented max
-  // scan over (root id + 1) placed at segment heads.
-  std::vector<i64> rootv(T, 0);
-  pram::parallel_for(0, T, [&](std::size_t p) {
-    if (tour.seg_start[p]) {
-      rootv[p] = static_cast<i64>(forest.parent[EulerTour::arc_node(tour.order[p])]) + 1;
-    }
+  // Owning root: the count of segment starts up to a node's down-arc is
+  // one more than its tree's segment index.
+  pram::parallel_for(0, pre.size(), [&](std::size_t p) { pre[p] = tour.seg_start[p]; });
+  prim::inclusive_scan<u32>(pre, pre);
+  pram::parallel_for(0, forest.size(), [&](std::size_t x) {
+    const u32 down = EulerTour::down_arc(static_cast<u32>(x));
+    ctx.root_of[x] =
+        forest.is_root[x] ? static_cast<u32>(x) : tour.seg_root[pre[tour.pos[down]] - 1];
   });
-  // A copy-scan: within a segment only the head holds a value, so a
-  // segmented running maximum propagates it.
-  std::vector<i64> carried(T);
-  {
-    // reuse segmented sum scan on indicator trick: since only heads hold
-    // values and all others are 0, max == sum within a segment prefix.
-    prim::segmented_inclusive_scan<i64>(rootv, tour.seg_start, carried);
-  }
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) return;
-    out.root_of[x] =
-        static_cast<u32>(carried[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]] - 1);
-  });
-  return out;
 }
 
-ForestLevels levels_doubling(const RootedForest& forest) {
+void levels_doubling(ForestContext& ctx) {
+  const RootedForest& forest = ctx.forest;
   const std::size_t n = forest.size();
-  ForestLevels out;
-  out.level.assign(n, 0);
-  out.root_of.assign(n, kNone);
-  if (n == 0) return out;
-  std::vector<u32> jump(n), lvl(n), jump2(n), lvl2(n);
+  if (n == 0) return;
+  std::vector<u32>& jump = ctx.root_of;
+  std::vector<u32>& lvl = ctx.level;
   pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) {
-      jump[x] = static_cast<u32>(x);
-      lvl[x] = 0;
-    } else {
-      jump[x] = forest.parent[x];
-      lvl[x] = 1;
-    }
+    jump[x] = forest.is_root[x] ? static_cast<u32>(x) : forest.parent[x];
+    lvl[x] = forest.is_root[x] ? 0 : 1;
   });
+  std::vector<u32> jump2(n), lvl2(n);
   const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
   for (int r = 0; r < rounds; ++r) {
     pram::parallel_for(0, n, [&](std::size_t x) {
@@ -147,17 +111,12 @@ ForestLevels levels_doubling(const RootedForest& forest) {
     lvl.swap(lvl2);
     jump.swap(jump2);
   }
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    out.level[x] = lvl[x];
-    out.root_of[x] = jump[x];
-  });
-  return out;
 }
 
-std::vector<i64> sums_sequential(const RootedForest& forest, std::span<const i64> vals) {
-  const std::size_t n = forest.size();
-  std::vector<i64> out(n, 0);
-  std::vector<u32> stack;
+void sums_sequential(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
+  const RootedForest& forest = ctx.forest;
+  std::vector<u32>& stack = ctx.scratch;
+  stack.clear();
   for (const u32 r : forest.roots) {
     out[r] = vals[r];
     stack.push_back(r);
@@ -171,46 +130,37 @@ std::vector<i64> sums_sequential(const RootedForest& forest, std::span<const i64
       }
     }
   }
-  pram::charge(n);
-  return out;
+  pram::charge(forest.size());
 }
 
-std::vector<i64> sums_euler(const RootedForest& forest, std::span<const i64> vals) {
-  const std::size_t n = forest.size();
-  std::vector<i64> out(n, 0);
-  const EulerTour tour = build_euler_tour(forest);
-  const std::size_t T = tour.order.size();
-  std::vector<i64> arc_vals(T);
-  pram::parallel_for(0, T, [&](std::size_t p) {
+void sums_euler(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
+  const RootedForest& forest = ctx.forest;
+  const EulerTour& tour = ctx.tour;
+  std::vector<u32>& pre = ctx.scratch;
+  pre.resize(tour.order.size());
+  pram::parallel_for(0, pre.size(), [&](std::size_t p) {
     const u32 arc = tour.order[p];
-    const u32 x = EulerTour::arc_node(arc);
-    arc_vals[p] = EulerTour::is_down(arc) ? vals[x] : -vals[x];
+    const u32 v = vals[EulerTour::arc_node(arc)];
+    pre[p] = EulerTour::is_down(arc) ? v : 0u - v;
   });
-  std::vector<i64> pre(T);
-  prim::segmented_inclusive_scan<i64>(arc_vals, tour.seg_start, pre);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) {
-      out[x] = vals[x];
-    } else {
-      // The prefix at the down-arc covers the path root..x *excluding* the
-      // root (roots have no down-arc); add the root's value explicitly.
-      out[x] = pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
-    }
+  prim::inclusive_scan<u32>(pre, pre);
+  // The prefix at a down-arc covers the path root..x *excluding* the root
+  // (roots have no arcs), so add the root's value.  Roots are written in
+  // their own round, before tree nodes read them, so `out` may alias `vals`.
+  pram::parallel_for(0, forest.roots.size(), [&](std::size_t i) {
+    out[forest.roots[i]] = vals[forest.roots[i]];
   });
-  // Add the owning root's value to every tree node.
-  const ForestLevels lv = levels_euler(forest);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!forest.is_root[x]) out[x] += vals[lv.root_of[x]];
+  pram::parallel_for(0, forest.size(), [&](std::size_t x) {
+    if (forest.is_root[x]) return;
+    out[x] = out[ctx.root_of[x]] + pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
   });
-  return out;
 }
 
-std::vector<i64> sums_doubling(const RootedForest& forest, std::span<const i64> vals) {
+void sums_doubling(const ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
+  const RootedForest& forest = ctx.forest;
   const std::size_t n = forest.size();
-  std::vector<i64> out(n, 0);
-  if (n == 0) return out;
-  std::vector<u32> jump(n), jump2(n);
-  std::vector<i64> acc(n), acc2(n);
+  if (n == 0) return;
+  std::vector<u32> jump(n), jump2(n), acc(n), acc2(n);
   pram::parallel_for(0, n, [&](std::size_t x) {
     acc[x] = vals[x];
     jump[x] = forest.is_root[x] ? kNone : forest.parent[x];
@@ -230,34 +180,38 @@ std::vector<i64> sums_doubling(const RootedForest& forest, std::span<const i64> 
     jump.swap(jump2);
   }
   pram::parallel_for(0, n, [&](std::size_t x) { out[x] = acc[x]; });
-  return out;
 }
 
 }  // namespace
 
-ForestLevels forest_levels(const RootedForest& forest, ForestStrategy strategy) {
-  switch (strategy) {
-    case ForestStrategy::Sequential:
-      return levels_sequential(forest);
-    case ForestStrategy::EulerTour:
-      return levels_euler(forest);
-    case ForestStrategy::AncestorDoubling:
-      return levels_doubling(forest);
+void build_forest_context_into(std::span<const u32> f, std::span<const u8> on_cycle,
+                               ForestStrategy strategy, ForestContext& ctx) {
+  ctx.strategy = strategy;
+  build_rooted_forest_into(f, on_cycle, ctx.forest);
+  ctx.level.resize(f.size());
+  ctx.root_of.resize(f.size());
+  if (strategy == ForestStrategy::EulerTour) {
+    build_euler_tour_into(ctx.forest, ctx.tour);
+    levels_euler(ctx);
+    return;
   }
-  return levels_sequential(forest);
+  ctx.tour = {};
+  if (strategy == ForestStrategy::Sequential) {
+    levels_sequential(ctx);
+  } else {
+    levels_doubling(ctx);
+  }
 }
 
-std::vector<i64> root_path_sums(const RootedForest& forest, std::span<const i64> vals,
-                                ForestStrategy strategy) {
-  switch (strategy) {
+void root_path_sums(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
+  switch (ctx.strategy) {
     case ForestStrategy::Sequential:
-      return sums_sequential(forest, vals);
+      return sums_sequential(ctx, vals, out);
     case ForestStrategy::EulerTour:
-      return sums_euler(forest, vals);
+      return sums_euler(ctx, vals, out);
     case ForestStrategy::AncestorDoubling:
-      return sums_doubling(forest, vals);
+      return sums_doubling(ctx, vals, out);
   }
-  return sums_sequential(forest, vals);
 }
 
 }  // namespace sfcp::graph

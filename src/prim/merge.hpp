@@ -15,9 +15,10 @@
 // width-doubling level is ONE parallel round (p blocks of the output, each
 // block walking the run pairs it overlaps via merge-path co-ranking — the
 // blocked p-way structure of pvfmm's parallel merge sort), not one round
-// per pair.  O(n log n) work, O(log^2 n) depth (vs Cole's O(log n); the
-// difference is immaterial on a fixed-core host and is recorded in
-// DESIGN.md).  Each per-level round runs on the session's worker pool.
+// per pair.  O(n log n) work, O(log^2 n) depth (vs Cole's O(log n); with a
+// fixed number of cores the extra log factor is p co-ranking binary
+// searches per level, small next to the merging itself).  Each per-level
+// round runs on the session's worker pool.
 //
 // Both are stable: ties prefer elements of `a` (merge) / earlier input
 // positions (sort).

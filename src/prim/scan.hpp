@@ -39,6 +39,7 @@ T exclusive_scan(std::span<const T> in, std::span<T> out, T init = T{}) {
 }
 
 /// Inclusive prefix sum: out[i] = init + sum(in[0..i]).  Returns the total.
+/// `out` may alias `in`.
 template <typename T>
 T inclusive_scan(std::span<const T> in, std::span<T> out, T init = T{}) {
   const std::size_t n = in.size();

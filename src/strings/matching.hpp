@@ -12,7 +12,8 @@
 //                      candidate, all candidates tested in one parallel
 //                      round; O((n+m) log(n+m)) work, O(log(n+m)) depth
 //                      (the standard work/depth substitution for [20]'s
-//                      optimal matcher, recorded in DESIGN.md)
+//                      optimal matcher: simpler, at a log factor more
+//                      work)
 //
 // All engines return the sorted list of starting positions of the pattern
 // in the text.  The empty pattern matches at every position 0..n.

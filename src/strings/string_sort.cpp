@@ -119,8 +119,8 @@ std::span<const u32> level_view(const Level& lv, std::size_t i) {
   return std::span<const u32>(lv.data).subspan(lv.offsets[i], lv.offsets[i + 1] - lv.offsets[i]);
 }
 
-// Parallel comparison sort used on the O(n/log n) residue (Cole-mergesort
-// substitute, see DESIGN.md): merge-path merge sort with O(1)-ish span
+// Parallel comparison sort used on the O(n/log n) residue (the stand-in
+// for Cole's mergesort): merge-path merge sort with O(1)-ish span
 // comparisons on the reduced strings.
 std::vector<u32> base_sort(const Level& lv) {
   std::vector<u32> idx(lv.ids.size());

@@ -6,8 +6,9 @@
 // same first symbol), fold the remaining strings into ordered pairs, rank
 // the pairs with an order-preserving renaming (total length drops to
 // <= 2n/3), recurse, and finish the O(n/log n)-size residue with a
-// comparison sort (Cole's mergesort in the paper; a stable comparison sort
-// here — see DESIGN.md).
+// comparison sort (Cole's mergesort in the paper; here a stable merge-path
+// merge sort, whose O(log^2 n) depth against Cole's O(log n) does not
+// matter on a fixed-core host).
 //
 // Baselines: std::stable_sort with span comparison, and a sequential MSD
 // 3-way radix quicksort (Bentley–Sedgewick).

@@ -1,6 +1,8 @@
 // Unit tests for Euler tours of rooted forests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/cycle_structure.hpp"
 #include "graph/euler_tour.hpp"
 #include "graph/rooted_forest.hpp"
@@ -10,15 +12,30 @@
 namespace sfcp {
 namespace {
 
-using graph::build_euler_tour;
-using graph::build_rooted_forest;
+using graph::build_euler_tour_into;
+using graph::build_rooted_forest_into;
 using graph::cycle_structure;
 using graph::EulerTour;
 using graph::RootedForest;
 
-RootedForest forest_of(const graph::Instance& inst) {
-  const auto cs = cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
-  return build_rooted_forest(inst.f, cs.on_cycle);
+// A forest and the cycle structure whose on-cycle flags it views.
+struct Forest {
+  explicit Forest(const graph::Instance& inst)
+      : cs(cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential)) {
+    build_rooted_forest_into(inst.f, cs.on_cycle, forest);
+  }
+  Forest(const Forest&) = delete;
+  Forest& operator=(const Forest&) = delete;
+
+  graph::CycleStructure cs;
+  RootedForest forest;
+};
+
+EulerTour tour_of(const RootedForest& forest,
+                  prim::ListRankStrategy ranking = prim::ListRankStrategy::RulingSet) {
+  EulerTour tour;
+  build_euler_tour_into(forest, tour, ranking);
+  return tour;
 }
 
 // Structural checks: the tour is a permutation of all used arcs; every
@@ -63,16 +80,18 @@ void check_tour(const RootedForest& forest, const EulerTour& tour) {
 TEST(EulerTourTest, NoTreeNodes) {
   std::vector<u32> f{1, 0};
   graph::Instance inst{{1, 0}, {0, 0}};
-  const auto forest = forest_of(inst);
-  const auto tour = build_euler_tour(forest);
+  const Forest fo(inst);
+  const auto& forest = fo.forest;
+  const auto tour = tour_of(forest);
   EXPECT_TRUE(tour.order.empty());
 }
 
 TEST(EulerTourTest, SinglePathIntoSelfLoop) {
   // 0 self-loop; 1 -> 0; 2 -> 1
   graph::Instance inst{{0, 0, 1}, {0, 0, 0}};
-  const auto forest = forest_of(inst);
-  const auto tour = build_euler_tour(forest);
+  const Forest fo(inst);
+  const auto& forest = fo.forest;
+  const auto tour = tour_of(forest);
   ASSERT_EQ(tour.order.size(), 4u);
   EXPECT_EQ(tour.order[0], EulerTour::down_arc(1));
   EXPECT_EQ(tour.order[1], EulerTour::down_arc(2));
@@ -84,8 +103,9 @@ TEST(EulerTourTest, SinglePathIntoSelfLoop) {
 TEST(EulerTourTest, StarTree) {
   // 0 self-loop; 1..5 -> 0
   graph::Instance inst{{0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0}};
-  const auto forest = forest_of(inst);
-  const auto tour = build_euler_tour(forest);
+  const Forest fo(inst);
+  const auto& forest = fo.forest;
+  const auto tour = tour_of(forest);
   ASSERT_EQ(tour.order.size(), 10u);
   check_tour(forest, tour);
   // Siblings appear in ascending order (deterministic construction).
@@ -96,8 +116,9 @@ TEST(EulerTourTest, StarTree) {
 TEST(EulerTourTest, MultipleTreesChained) {
   // Two self-loops 0 and 1; 2 -> 0, 3 -> 1.
   graph::Instance inst{{0, 1, 0, 1}, {0, 0, 0, 0}};
-  const auto forest = forest_of(inst);
-  const auto tour = build_euler_tour(forest);
+  const Forest fo(inst);
+  const auto& forest = fo.forest;
+  const auto tour = tour_of(forest);
   ASSERT_EQ(tour.order.size(), 4u);
   EXPECT_EQ(tour.seg_start[0], 1);
   EXPECT_EQ(tour.seg_start[2], 1);
@@ -110,8 +131,9 @@ TEST_P(EulerTourSweep, RandomForestsAllRankingStrategies) {
   util::Rng rng(701);
   for (int iter = 0; iter < 15; ++iter) {
     const auto inst = util::random_function(1 + rng.below(3000), 3, rng);
-    const auto forest = forest_of(inst);
-    const auto tour = build_euler_tour(forest, GetParam());
+    const Forest fo(inst);
+    const auto& forest = fo.forest;
+    const auto tour = tour_of(forest, GetParam());
     check_tour(forest, tour);
   }
 }
@@ -121,11 +143,28 @@ INSTANTIATE_TEST_SUITE_P(Rankings, EulerTourSweep,
                                            prim::ListRankStrategy::PointerJumping,
                                            prim::ListRankStrategy::RulingSet));
 
+TEST(EulerTourTest, ReusedTourRebuildsAcrossSizes) {
+  util::Rng rng(719);
+  const auto large = util::random_function(4000, 3, rng);
+  const auto small = util::random_function(12, 3, rng);
+  const auto all_cycle = util::random_permutation(300, 3, rng);
+  EulerTour tour;
+  for (const auto* inst : {&large, &small, &all_cycle, &large}) {
+    const Forest fo(*inst);
+    build_euler_tour_into(fo.forest, tour);
+    check_tour(fo.forest, tour);
+    const auto starts = std::count(tour.seg_start.begin(), tour.seg_start.end(), 1);
+    EXPECT_EQ(tour.seg_root.size(), static_cast<std::size_t>(starts));
+  }
+  EXPECT_TRUE(tour_of(Forest(all_cycle).forest).order.empty());
+}
+
 TEST(EulerTourTest, DeepPath) {
   util::Rng rng(709);
   const auto inst = util::long_tail(20000, 3, 2, rng);
-  const auto forest = forest_of(inst);
-  check_tour(forest, build_euler_tour(forest));
+  const Forest fo(inst);
+  const auto& forest = fo.forest;
+  check_tour(forest, tour_of(forest));
 }
 
 }  // namespace

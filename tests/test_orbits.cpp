@@ -149,8 +149,8 @@ TEST(Orbits, TailEqualsTreeLevel) {
     const auto inst = util::random_function(400, 2, rng);
     const auto cs = graph::cycle_structure(inst.f);
     const auto orb = compute_orbits(inst.f, cs);
-    const auto forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
-    const auto lv = graph::forest_levels(forest, graph::ForestStrategy::EulerTour);
+    graph::ForestContext lv;
+    graph::build_forest_context_into(inst.f, cs.on_cycle, graph::ForestStrategy::EulerTour, lv);
     for (std::size_t x = 0; x < inst.size(); ++x) {
       EXPECT_EQ(orb.tail[x], lv.level[x]) << "node " << x;
     }

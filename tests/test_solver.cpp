@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <set>
 #include <string>
 #include <thread>
@@ -105,6 +106,36 @@ TEST(Solver, WorkspaceSurvivesShrinkingAndGrowingInstances) {
     const auto inst = util::random_function(n, 3, rng);
     const auto got = solver.solve(inst);
     EXPECT_EQ(got.q, core::solve(inst).q) << "n=" << n;
+  }
+}
+
+// The same reuse on the pooled path: at grain 64 every round of these
+// instances splits across both lanes.  Labels must stay byte-identical to a
+// sequential solve through a smaller, a tree-less and a deep instance, and
+// solving the first instance again must reuse the forest context's buffers.
+TEST(Solver, PooledWorkspaceReusesForestContextAcrossInstances) {
+  util::Rng rng(0xF0E57);
+  const graph::Instance tree_heavy = util::random_function(5000, 3, rng);
+  const graph::Instance insts[] = {tree_heavy, util::random_permutation(4096, 3, rng),
+                                   util::long_tail(4000, 8, 2, rng), tree_heavy};
+  std::vector<std::vector<u32>> want;
+  for (const auto& inst : insts) want.push_back(core::solve(inst, core::Options::sequential()).q);
+  const auto buffers = [](const core::Solver& solver) {
+    const graph::ForestContext& fc = solver.workspace().tl.forest;
+    return std::vector<const void*>{fc.forest.child_off.data(), fc.forest.child.data(),
+                                    fc.forest.sibling_index.data(), fc.tour.pos.data(),
+                                    fc.tour.order.data(), fc.tour.seg_start.data(),
+                                    fc.level.data(), fc.root_of.data()};
+  };
+  for (const auto& entry : sfcp::registry().all()) {
+    core::Solver solver(entry.options, pram::ExecutionContext{}.with_threads(2).with_grain(64));
+    std::vector<const void*> first;
+    for (std::size_t i = 0; i < std::size(insts); ++i) {
+      ASSERT_EQ(solver.solve(insts[i]).q, want[i])
+          << "strategy " << entry.name << " instance " << i;
+      if (i == 0) first = buffers(solver);
+    }
+    EXPECT_EQ(buffers(solver), first) << "strategy " << entry.name;
   }
 }
 
