@@ -47,6 +47,17 @@ Options Options::sequential() {
   return o;
 }
 
+std::size_t SolveWorkspace::capacity_bytes() const noexcept {
+  const auto b = [](const auto& v) { return v.capacity() * sizeof(*v.data()); };
+  const graph::ForestContext& fc = tl.forest;
+  return b(on_cycle) + b(cs.on_cycle) + b(cs.leader) + b(cs.rank) + b(cs.length) +
+         b(cs.cycle_nodes) + b(cs.cycle_offset) + b(cs.cycle_of) + b(cl.q) + b(cl.period) +
+         b(cl.msp) + b(cl.class_id) + b(tl.q) + b(fc.forest.child_off) + b(fc.forest.child) +
+         b(fc.forest.sibling_index) + b(fc.forest.roots) + b(fc.tour.pos) + b(fc.tour.order) +
+         b(fc.tour.seg_start) + b(fc.tour.seg_root) + b(fc.level) + b(fc.root_of) +
+         b(fc.scratch);
+}
+
 Result solve(const graph::Instance& inst, const Options& opt) {
   SolveWorkspace ws;
   return solve(inst, opt, ws);

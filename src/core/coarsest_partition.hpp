@@ -57,6 +57,10 @@ struct SolveWorkspace {
   graph::CycleStructure cs;
   CycleLabeling cl;
   TreeLabeling tl;
+
+  /// Bytes the workspace's arrays keep allocated (their capacities),
+  /// including the tree labelling's forest context.
+  std::size_t capacity_bytes() const noexcept;
 };
 
 /// Solves the SFCP instance.  Throws std::invalid_argument on malformed

@@ -58,7 +58,8 @@ StrategyRegistry make_builtin_registry() {
   };
   const std::pair<graph::CycleStructureStrategy, Dim> structures[] = {
       {graph::CycleStructureStrategy::Sequential, {"seq", "sequential visited-walk"}},
-      {graph::CycleStructureStrategy::PointerJumping, {"jump", "pointer-jumping doubling"}},
+      {graph::CycleStructureStrategy::PointerJumping,
+       {"jump", "ruling-set orbit ranking (O(n) expected work)"}},
   };
   const std::pair<TreeLabelStrategy, Dim> trees[] = {
       {TreeLabelStrategy::LevelSynchronous, {"level", "level-synchronous (O(n) work)"}},

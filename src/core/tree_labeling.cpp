@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cassert>
-#include <unordered_map>
 
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
@@ -129,11 +128,10 @@ void label_ancestor_doubling(const graph::Instance& inst, const Residual& res,
   });
 }
 
-// Step 5, strategy (c): per-root DFS with a global sequential rename map.
+// Step 5, strategy (c): per-root DFS with a global sequential rename table.
 void label_sequential_dfs(const graph::Instance& inst, const graph::RootedForest& forest,
                           const Residual& res, std::vector<u32>& q, u32 fresh_base) {
-  std::unordered_map<u64, u32> table;
-  table.reserve(res.nodes.size());
+  prim::FlatPairMap table(res.nodes.size());
   u32 next_label = fresh_base;
   // Residual roots: residual nodes whose parent is not residual.  Walk each
   // subtree top-down; children of a residual node inside the residual
@@ -145,10 +143,8 @@ void label_sequential_dfs(const graph::Instance& inst, const graph::RootedForest
     while (!stack.empty()) {
       const u32 v = stack.back();
       stack.pop_back();
-      const u64 key = pack_pair(inst.b[v], q[inst.f[v]]);
-      const auto [it, inserted] = table.emplace(key, next_label);
-      if (inserted) ++next_label;
-      q[v] = it->second;
+      q[v] = table.insert_or_get(pack_pair(inst.b[v], q[inst.f[v]]), next_label);
+      if (q[v] == next_label) ++next_label;
       for (u32 i = forest.child_off[v]; i < forest.child_off[v + 1]; ++i) {
         stack.push_back(forest.child[i]);
       }

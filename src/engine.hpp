@@ -180,7 +180,7 @@ class BatchEngine final : public Engine {
 
   std::size_t footprint_bytes() const noexcept override {
     return (inst_.f.capacity() + inst_.b.capacity()) * sizeof(u32) +
-           (stale_ ? 0 : inst_.size() * sizeof(u32));
+           (stale_ ? 0 : inst_.size() * sizeof(u32)) + solver_.workspace().capacity_bytes();
   }
 
  private:

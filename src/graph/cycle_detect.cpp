@@ -1,12 +1,13 @@
 #include "graph/cycle_detect.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
-#include <cassert>
 
 #include "graph/functional_graph.hpp"
 #include "pram/crcw.hpp"
 #include "pram/parallel_for.hpp"
-#include "prim/integer_sort.hpp"
+#include "prim/list_ranking.hpp"
 #include "prim/scan.hpp"
 
 namespace sfcp::graph {
@@ -46,28 +47,38 @@ void detect_powers(std::span<const u32> f, std::vector<u8>& on_cycle) {
 }
 
 // Paper §5: Euler partition of the doubled pseudo-forest.
-// Arc 2x = (x -> f(x)); arc 2x+1 = its buddy (f(x) -> x).
+// Arc 2x = (x -> f(x)); arc 2x+1 = its buddy (f(x) -> x).  Each Euler cycle
+// is an orbit of the arc successor permutation, named by its minimum arc
+// through ruling-set orbit ranking.
 void detect_euler(std::span<const u32> f, std::vector<u8>& on_cycle) {
   const std::size_t n = f.size();
   on_cycle.assign(n, 0);
   if (n == 0) return;
-  // Preimage lists pre[v] (CSR) and each node's index within its parent's
-  // preimage list, built with one stable integer sort (paper: "the data
+  // Preimage lists pre[v] (CSR, each ascending) and each node's index
+  // within its parent's list, by a counting sort on f (paper: "the data
   // structure ... can easily be done by using an integer sorting
-  // algorithm").
-  std::vector<u64> keys(n);
-  pram::parallel_for(0, n, [&](std::size_t x) { keys[x] = f[x]; });
-  const std::vector<u32> by_parent = prim::sort_order_by_key(keys, n - 1);
-  std::vector<u32> pre(n);  // nodes grouped by f-image
-  pram::parallel_for(0, n, [&](std::size_t i) { pre[i] = by_parent[i]; });
-  const std::vector<u32> deg = indegrees(f);
+  // algorithm").  Counting hands every node a slot in its parent's list,
+  // in whatever order the atomics ran, so each short list is then sorted
+  // and the slots renumbered.  Placing through the counted slot, not a
+  // second fetch_add, keeps the placement's random stores out from behind
+  // locked instructions.
   std::vector<u32> pre_off(n + 1, 0);
-  prim::exclusive_scan<u32>(deg, std::span<u32>(pre_off).first(n));
-  pre_off[n] = static_cast<u32>(n);
   std::vector<u32> pre_index(n);  // position of x within pre[f(x)]
-  pram::parallel_for(0, n, [&](std::size_t i) {
-    pre_index[pre[i]] = static_cast<u32>(i) - pre_off[f[pre[i]]];
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    pre_index[x] = std::atomic_ref<u32>(pre_off[f[x]]).fetch_add(1, std::memory_order_relaxed);
   });
+  prim::exclusive_scan<u32>(pre_off, pre_off);  // pre_off[n] = n
+  std::vector<u32> pre(n);
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    pre[pre_off[f[x]] + pre_index[x]] = static_cast<u32>(x);
+  });
+  pram::parallel_for(0, n, [&](std::size_t v) {
+    const auto first = pre.begin() + pre_off[v];
+    const auto last = pre.begin() + pre_off[v + 1];
+    std::sort(first, last);
+    for (auto x = first; x != last; ++x) pre_index[*x] = static_cast<u32>(x - first);
+  });
+  const auto deg = [&](u32 v) { return pre_off[v + 1] - pre_off[v]; };
   // Out-arc list of v (circular): slot 0 = down-arc 2v, slot 1+j = buddy
   // arc of pre[v][j].  The Euler successor of arc e=(u,v) is the out-arc of
   // v following twin(e) in this circular order.
@@ -80,29 +91,16 @@ void detect_euler(std::span<const u32> f, std::vector<u8>& on_cycle) {
     // succ of the down-arc 2x: head is v = f(x); twin is buddy 2x+1 at slot
     // 1 + pre_index[x] of v's list.
     const u32 v = f[x];
-    const u32 dv = deg[v] + 1;  // circular list size of v
+    const u32 dv = deg(v) + 1;  // circular list size of v
     succ[2 * x] = out_arc(v, (1 + pre_index[x] + 1) % dv);
     // succ of the buddy 2x+1: head is x; twin is the down-arc 2x at slot 0.
-    const u32 dx = deg[x] + 1;
+    const u32 dx = deg(x) + 1;
     succ[2 * x + 1] = out_arc(x, 1 % dx);
   });
-  // Euler-cycle identifiers: minimum arc id in each orbit of the successor
-  // permutation, by min-propagation doubling.
-  const std::size_t m = 2 * n;
-  std::vector<u32> id(m), jump(m), id2(m), jump2(m);
-  pram::parallel_for(0, m, [&](std::size_t a) {
-    id[a] = static_cast<u32>(a);
-    jump[a] = succ[a];
-  });
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(m - 1))) + 1;
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, m, [&](std::size_t a) {
-      id2[a] = std::min(id[a], id[jump[a]]);
-      jump2[a] = jump[jump[a]];
-    });
-    id.swap(id2);
-    jump.swap(jump2);
-  }
+  // Euler-cycle identifiers: the minimum arc id of each orbit of the
+  // successor permutation, by ruling-set orbit ranking (O(n) expected work).
+  std::vector<u32> id(2 * n);
+  prim::rank_orbits(succ, {}, id, {}, {});
   // Edge (x, f(x)) is a cycle edge iff its two arcs lie in different Euler
   // cycles; both endpoints of a cycle edge are cycle nodes, and every cycle
   // node has exactly one outgoing cycle edge.

@@ -12,7 +12,9 @@
 //   * Sequential     — visited-walk reference, O(n)
 //   * FunctionPowers — cycle nodes = image of f^N (N >= n) by repeated
 //                      squaring, O(n log n) work / O(log n) depth
-//   * EulerTour      — the paper's §5 algorithm
+//   * EulerTour      — the paper's §5 algorithm: preimage lists by counting
+//                      sort, Euler cycle ids by ruling-set orbit ranking
+//                      (prim::rank_orbits), O(n) expected work
 
 #include <span>
 #include <vector>

@@ -13,7 +13,10 @@ namespace sfcp::graph {
 
 enum class CycleStructureStrategy {
   Sequential,      ///< visited-walk, O(n) reference
-  PointerJumping,  ///< doubling (f^N image + min-propagation), O(n log n) work
+  /// Ruling-set orbit ranking of f over the cycle nodes (prim::rank_orbits),
+  /// O(n) expected work.  It keeps the name of the doubling it replaced, as
+  /// does the registry's `jump` slug, so callers and strategy names stay.
+  PointerJumping,
 };
 
 struct CycleStructure {

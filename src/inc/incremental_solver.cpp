@@ -527,7 +527,7 @@ std::size_t IncrementalSolver::footprint_bytes() const noexcept {
   }
   // Reverse adjacency: CSR offsets + one target slot per node.
   bytes += inst_.size() * 12;
-  return bytes;
+  return bytes + solver_.workspace().capacity_bytes();
 }
 
 // ---- persistence: sfcp-checkpoint v1 (format doc in util/io.hpp) ---------

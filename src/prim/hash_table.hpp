@@ -115,4 +115,41 @@ class ConcurrentPairMap {
   u64 salt_ = 0;
 };
 
+/// Single-threaded insert-or-get table with ConcurrentPairMap's keys,
+/// values and salted probe sequence, in two flat arrays and without atomics:
+/// the sequential code paths' replacement for std::unordered_map.
+class FlatPairMap {
+ public:
+  static constexpr u64 kReservedKey = ConcurrentPairMap::kReservedKey;
+
+  explicit FlatPairMap(std::size_t max_items, u64 salt = pram::session_seed()) : salt_(salt) {
+    std::size_t cap = 16;
+    while (cap < 2 * max_items) cap <<= 1;
+    mask_ = cap - 1;
+    keys_.assign(cap, kReservedKey);
+    values_.resize(cap);
+  }
+
+  /// Inserts (key, value) if the key is absent; returns the key's value.
+  u32 insert_or_get(u64 key, u32 value) noexcept {
+    assert(key != kReservedKey);
+    std::size_t i = hash_u64(key ^ salt_) & mask_;
+    while (keys_[i] != key) {
+      if (keys_[i] == kReservedKey) {
+        keys_[i] = key;
+        values_[i] = value;
+        return value;
+      }
+      i = (i + 1) & mask_;
+    }
+    return values_[i];
+  }
+
+ private:
+  std::vector<u64> keys_;
+  std::vector<u32> values_;
+  std::size_t mask_ = 0;
+  u64 salt_ = 0;
+};
+
 }  // namespace sfcp::prim

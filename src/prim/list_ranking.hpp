@@ -7,15 +7,23 @@
 // Euler-tour computations.  We provide three interchangeable strategies:
 //   * Sequential    — walk each list (O(n) work, reference)
 //   * PointerJumping — Wyllie's algorithm (O(log n) rounds, O(n log n) work)
-//   * RulingSet     — random sparse ruling set: sample ~n/log n splitters,
-//                     walk the gaps in parallel, rank the contracted list,
-//                     expand (O(n) expected work)
+//   * RulingSet     — sparse ruling set: list heads plus a hash sample of
+//                     ~n/64 splitters, walk the gaps in parallel (several
+//                     walks interleaved per lane so their cache misses
+//                     overlap), rank the contracted list, expand (O(n)
+//                     expected work)
 // The ablation bench A2 compares them.
+//
+// `rank_orbits` is the ruling-set method applied to a permutation instead of
+// a list: it gives every element its orbit's leader, its rank from the
+// leader and the orbit's length.  Cycle detection (§5) and cycle structure
+// (§3, step 1) use it.
 
 #include <span>
 #include <vector>
 
 #include "pram/types.hpp"
+#include "prim/hash_table.hpp"
 
 namespace sfcp::prim {
 
@@ -26,5 +34,30 @@ enum class ListRankStrategy { Sequential, PointerJumping, RulingSet };
 /// (rank of an end node is 0).  Lists must be acyclic.
 std::vector<u32> list_rank(std::span<const u32> next,
                            ListRankStrategy strategy = ListRankStrategy::RulingSet);
+
+/// The splitter sample both ruling-set rankers share: a deterministic hash
+/// sample of about one id in 64.
+inline bool is_ruling_splitter(u64 id) noexcept { return hash_u64(id) % 64 == 0; }
+
+/// Orbits of the permutation `succ`, restricted to the elements flagged in
+/// `active` (every element when `active` is empty).  The active set must be
+/// closed under succ and succ one-to-one on it; inactive entries of succ are
+/// never read.  For every active x:
+///   leader[x] = the minimum element of x's orbit,
+///   rank[x]   = steps from leader[x] to x along succ (0 at the leader),
+///   length[x] = the orbit's length.
+/// Inactive entries of the outputs are left untouched.  `rank` and `length`
+/// may be empty when the caller needs only the leaders.
+///
+/// Method, as list_rank's RulingSet: the active splitters walk their
+/// segments once, recording each element's segment and offset in the output
+/// arrays.  Every element of an orbit without a splitter becomes a
+/// one-element segment, so short orbits need no special case.  The
+/// contracted permutation of segments (expected size n/64) is ranked by one
+/// sequential walk, and one flat pass expands the result.  O(n) work even
+/// when an orbit avoids every sample: it is then walked once as segments,
+/// never re-walked.
+void rank_orbits(std::span<const u32> succ, std::span<const u8> active, std::span<u32> leader,
+                 std::span<u32> rank, std::span<u32> length);
 
 }  // namespace sfcp::prim

@@ -1,6 +1,6 @@
 #include "prim/rename.hpp"
 
-#include <unordered_map>
+#include <algorithm>
 
 #include "pram/metrics.hpp"
 #include "pram/parallel_for.hpp"
@@ -55,16 +55,28 @@ RenameResult rename_pairs_hashed(std::span<const u32> a, std::span<const u32> b)
 }
 
 RenameResult canonicalize_labels(std::span<const u32> labels) {
+  const std::size_t n = labels.size();
   RenameResult r;
-  r.labels.assign(labels.size(), 0);
-  std::unordered_map<u32, u32> seen;
-  seen.reserve(labels.size());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    auto [it, inserted] = seen.emplace(labels[i], static_cast<u32>(seen.size()));
-    r.labels[i] = it->second;
+  r.labels.resize(n);
+  u32 classes = 0;
+  const u64 max_label = n == 0 ? 0 : *std::max_element(labels.begin(), labels.end());
+  if (max_label < 2 * static_cast<u64>(n)) {
+    // Dense labels (every solve's): a first-occurrence array.
+    std::vector<u32> first(max_label + 1, kNone);
+    for (std::size_t i = 0; i < n; ++i) {
+      u32& id = first[labels[i]];
+      if (id == kNone) id = classes++;
+      r.labels[i] = id;
+    }
+  } else {
+    FlatPairMap first(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      r.labels[i] = first.insert_or_get(labels[i], classes);
+      if (r.labels[i] == classes) ++classes;
+    }
   }
-  r.num_classes = static_cast<u32>(seen.size());
-  pram::charge(labels.size());
+  r.num_classes = classes;
+  pram::charge(n);
   return r;
 }
 

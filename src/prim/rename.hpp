@@ -40,9 +40,11 @@ RenameResult rename_pairs_hashed(std::span<const u32> a, std::span<const u32> b)
 
 /// Canonicalizes labels to first-occurrence order: out[i] in [0, k), equal
 /// iff in[i] equal, and the first occurrences are numbered 0,1,2,...
-/// Sequential O(n) with a hash map.  Every solve ends with it (so that any
-/// two strategies return identical arrays), and tests use it to compare
-/// partitions for equality.
+/// Sequential O(n): a first-occurrence array when every label is below
+/// 2 * labels.size() (always true of a solve's labels, which stay below
+/// num_labels + n), else a flat hash table.  Every solve ends with it (so
+/// that any two strategies return identical arrays), and tests use it to
+/// compare partitions for equality.
 RenameResult canonicalize_labels(std::span<const u32> labels);
 
 }  // namespace sfcp::prim

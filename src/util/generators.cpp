@@ -4,6 +4,7 @@
 #include <cassert>
 #include <numeric>
 
+#include "prim/list_ranking.hpp"
 #include "prim/rename.hpp"
 #include "strings/period.hpp"
 
@@ -56,6 +57,27 @@ graph::Instance random_permutation(std::size_t n, u32 num_b_labels, Rng& rng) {
       inst.f[perm[pos + i]] = perm[pos + (i + 1) % len];
     }
     pos += len;
+  }
+  for (std::size_t x = 0; x < n; ++x) inst.b[x] = rng.below_u32(num_b_labels);
+  return inst;
+}
+
+graph::Instance splitter_free_cycle(std::size_t n, u32 num_b_labels, Rng& rng) {
+  graph::Instance inst;
+  inst.f.resize(n);
+  inst.b.resize(n);
+  std::vector<u32> cycle;
+  for (u32 x = 0; x < n; ++x) {
+    inst.f[x] = x;
+    const u64 arc = 2 * static_cast<u64>(x);
+    if (!prim::is_ruling_splitter(x) && !prim::is_ruling_splitter(arc) &&
+        !prim::is_ruling_splitter(arc + 1)) {
+      cycle.push_back(x);
+    }
+  }
+  for (std::size_t i = cycle.size(); i > 1; --i) std::swap(cycle[i - 1], cycle[rng.below(i)]);
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    inst.f[cycle[i]] = cycle[(i + 1) % cycle.size()];
   }
   for (std::size_t x = 0; x < n; ++x) inst.b[x] = rng.below_u32(num_b_labels);
   return inst;

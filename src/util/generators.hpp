@@ -48,6 +48,13 @@ graph::Instance bushy(std::size_t n, std::size_t cycle_len, u32 fanout, u32 num_
 /// (high-coarseness instances where most nodes merge).
 graph::Instance mergeable(std::size_t n, u32 period, Rng& rng);
 
+/// The ruling-set ranker's adversary: the nodes x for which neither x nor
+/// the Euler arcs 2x, 2x+1 are sampled (prim::is_ruling_splitter) form one
+/// cycle in random order, and every other node is a self-loop.  No splitter
+/// lands on the long cycle in cycle structure or in the §5 detector, so
+/// both run prim::rank_orbits' splitter-free path.
+graph::Instance splitter_free_cycle(std::size_t n, u32 num_b_labels, Rng& rng);
+
 // ---- edit streams --------------------------------------------------------
 
 /// Shape of an edit workload against a live instance (inc::IncrementalSolver).

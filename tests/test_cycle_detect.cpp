@@ -69,6 +69,11 @@ TEST_P(CycleDetectSweep, AllStrategiesMatchSequential) {
     EXPECT_EQ(find_cycle_nodes(inst.f, CycleDetectStrategy::EulerTour), ref)
         << "euler n=" << n << " iter=" << iter;
   }
+  // Euler cycles no ruling-set splitter lands on.
+  const auto adversary = util::splitter_free_cycle(n, 3, rng);
+  const auto ref = find_cycle_nodes(adversary.f, CycleDetectStrategy::Sequential);
+  EXPECT_EQ(find_cycle_nodes(adversary.f, CycleDetectStrategy::FunctionPowers), ref) << "n=" << n;
+  EXPECT_EQ(find_cycle_nodes(adversary.f, CycleDetectStrategy::EulerTour), ref) << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CycleDetectSweep,

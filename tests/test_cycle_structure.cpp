@@ -85,15 +85,20 @@ TEST(CycleStructure, PaperFig1TwoCycles) {
 TEST(CycleStructure, StrategiesAgreeExactly) {
   util::Rng rng(501);
   for (int iter = 0; iter < 30; ++iter) {
-    const auto inst = util::random_function(1 + rng.below(2000), 3, rng);
-    const auto seq = cycle_structure(inst.f, CycleStructureStrategy::Sequential);
-    const auto par = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
-    EXPECT_EQ(seq.on_cycle, par.on_cycle);
-    EXPECT_EQ(seq.leader, par.leader);
-    EXPECT_EQ(seq.rank, par.rank);
-    EXPECT_EQ(seq.length, par.length);
-    EXPECT_EQ(seq.cycle_nodes, par.cycle_nodes);
-    EXPECT_EQ(seq.cycle_offset, par.cycle_offset);
+    const std::size_t n = 1 + rng.below(2000);
+    // A random function, and the ruling-set ranker's adversary: one long
+    // cycle without a sampled node beside sampled self-loops.
+    for (const auto& inst :
+         {util::random_function(n, 3, rng), util::splitter_free_cycle(n, 3, rng)}) {
+      const auto seq = cycle_structure(inst.f, CycleStructureStrategy::Sequential);
+      const auto par = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
+      EXPECT_EQ(seq.on_cycle, par.on_cycle);
+      EXPECT_EQ(seq.leader, par.leader);
+      EXPECT_EQ(seq.rank, par.rank);
+      EXPECT_EQ(seq.length, par.length);
+      EXPECT_EQ(seq.cycle_nodes, par.cycle_nodes);
+      EXPECT_EQ(seq.cycle_offset, par.cycle_offset);
+    }
   }
 }
 

@@ -130,5 +130,23 @@ TEST(Engine, CheckpointSupportIsEngineSpecific) {
   EXPECT_EQ(to_vec(restored->view().labels()), to_vec(incremental->view().labels()));
 }
 
+// A solved engine keeps its solver's workspace (forest context included),
+// and footprint_bytes() must count it: fleet admission and warm_bytes read it.
+TEST(Engine, FootprintCountsTheSolverWorkspace) {
+  util::Rng rng(87);
+  const auto inst = util::random_function(3000, 4, rng);
+  BatchEngine batch(inst);
+  (void)batch.view();
+  const std::size_t batch_ws = batch.solver().workspace().capacity_bytes();
+  EXPECT_GT(batch_ws, inst.size() * sizeof(u32));
+  EXPECT_GE(batch.footprint_bytes(), batch_ws);
+
+  IncrementalEngine incremental(inst);
+  (void)incremental.view();
+  const std::size_t inc_ws = incremental.solver().solver().workspace().capacity_bytes();
+  EXPECT_GT(inc_ws, inst.size() * sizeof(u32));
+  EXPECT_GE(incremental.footprint_bytes(), inc_ws);
+}
+
 }  // namespace
 }  // namespace sfcp

@@ -2,6 +2,7 @@
 // ranks; hashed = arbitrary-CRCW BB-table emulation) and canonicalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -95,6 +96,52 @@ TEST(Canonicalize, Idempotent) {
   const auto once = prim::canonicalize_labels(labels);
   const auto twice = prim::canonicalize_labels(once.labels);
   EXPECT_EQ(once.labels, twice.labels);
+}
+
+// First-occurrence numbering by an ordered map: the reference both of
+// canonicalize_labels' tables must reproduce.
+std::vector<u32> reference_canonical(const std::vector<u32>& labels) {
+  std::map<u32, u32> first;
+  std::vector<u32> out;
+  for (const u32 l : labels) {
+    out.push_back(first.emplace(l, static_cast<u32>(first.size())).first->second);
+  }
+  return out;
+}
+
+TEST(Canonicalize, ExtremeLabelsTakeTheHashTable) {
+  const std::vector<u32> labels{0xFFFFFFFFu, 0xFFFFFFFEu, 0u, 0xFFFFFFFFu, 5u, 0xFFFFFFFEu, 0u};
+  const auto r = prim::canonicalize_labels(labels);
+  EXPECT_EQ(r.labels, (std::vector<u32>{0, 1, 2, 0, 3, 1, 2}));
+  EXPECT_EQ(r.num_classes, 4u);
+}
+
+TEST(Canonicalize, WidelySpreadLabelsMatchReference) {
+  util::Rng rng(37);
+  for (const std::size_t n : {1u, 2u, 100u, 5000u}) {
+    std::vector<u32> labels(n);
+    // A pool of n/3 + 1 values spread over all of u32, so labels repeat.
+    std::vector<u32> pool(n / 3 + 1);
+    for (auto& v : pool) v = static_cast<u32>(rng.next());
+    pool[0] = 0xFFFFFFFFu;
+    for (auto& l : labels) l = pool[rng.below(pool.size())];
+    const auto r = prim::canonicalize_labels(labels);
+    const auto want = reference_canonical(labels);
+    EXPECT_EQ(r.labels, want) << "n=" << n;
+    EXPECT_EQ(r.num_classes, want.empty() ? 0 : *std::max_element(want.begin(), want.end()) + 1);
+  }
+}
+
+TEST(Canonicalize, DenseLabelsAtTheThresholdMatchReference) {
+  util::Rng rng(41);
+  const std::size_t n = 4096;
+  for (const u32 max_label : {u32{2 * 4096 - 1}, u32{2 * 4096}}) {  // array, then table
+    std::vector<u32> labels(n);
+    for (auto& l : labels) l = rng.below_u32(max_label + 1);
+    labels[rng.below(n)] = max_label;
+    EXPECT_EQ(prim::canonicalize_labels(labels).labels, reference_canonical(labels))
+        << "max label " << max_label;
+  }
 }
 
 TEST(RenameBackends, AgreeOnEquivalenceClasses) {

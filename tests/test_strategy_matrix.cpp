@@ -46,12 +46,14 @@ TEST_P(StrategyMatrix, AgreesOnAdversarialShapes) {
       util::bushy(512, 4, 32, 2, rng),         // widest trees
       util::equal_cycles(16, 32, 3, 3, rng),   // Algorithm partition stress
       util::mergeable(512, 8, rng),            // high coarseness
+      util::splitter_free_cycle(2048, 3, rng), // no ruling-set splitter on the cycle
   };
   for (const auto& inst : shapes) {
     const auto got = solver.solve(inst);
     const auto report = core::verify_solution(inst, got.q);
     EXPECT_TRUE(report.ok()) << report.to_string();
     EXPECT_EQ(got.q, core::solve(inst).q);
+    EXPECT_EQ(got.q, core::solve(inst, core::Options::sequential()).q);
   }
 }
 
