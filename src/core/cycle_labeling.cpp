@@ -149,39 +149,51 @@ void label_cycles_into(const graph::Instance& inst, const graph::CycleStructure&
   pram::parallel_for(0, k, [&](std::size_t c) { period_keys[c] = red.period[c]; });
   const std::vector<u32> by_period = prim::sort_order_by_key(period_keys);
 
-  // The blank symbol for padding must differ from every real label; remap
-  // is unnecessary because we use max_label + 1 (B labels are untouched u32
-  // values, so guard against the degenerate all-ones case with a rename).
-  const u32 max_label = red.data.empty() ? 0 : prim::reduce_max<u32>(red.data);
-  u32 blank = max_label + 1;
-  std::vector<u32> data = red.data;
-  if (blank == 0 || blank == kNone) {
-    // max_label at the top of u32: a (blank, blank) padding pair would
-    // collide with the hash table's reserved key — compress labels first.
-    auto compressed = prim::rename_sorted(std::vector<u64>(red.data.begin(), red.data.end()));
-    data = std::move(compressed.labels);
-    blank = compressed.num_classes;
-  }
-
   // For each maximal run of equal periods in `by_period`, pad to the next
-  // power of two and run Algorithm partition.
+  // power of two and run Algorithm partition.  A run of one cycle is its
+  // own class: it takes representative 0 with no partition and no padded
+  // copy (class ids are canonicalized (period, rep) pairs, so any
+  // representative unique within the period gives the same labels).
   std::vector<u32> rep(k, 0);  // representative label per cycle (within its period group)
+  // The blank symbol for padding must differ from every real label.  It is
+  // max_label + 1 unless the labels reach the top of u32, where a (blank,
+  // blank) padding pair would collide with the hash table's reserved key:
+  // then the labels are compressed first.  Both are prepared on the first
+  // multi-cycle run.
+  std::span<const u32> data;
+  std::vector<u32> compressed;
+  u32 blank = 0;
+  const auto prepare_padding = [&] {
+    if (!data.empty()) return;  // prepared already
+    data = red.data;
+    blank = prim::reduce_max<u32>(red.data) + 1;
+    if (blank == 0 || blank == kNone) {
+      auto renamed = prim::rename_sorted(std::vector<u64>(red.data.begin(), red.data.end()));
+      compressed = std::move(renamed.labels);
+      data = compressed;
+      blank = renamed.num_classes;
+    }
+  };
   std::size_t run_begin = 0;
   while (run_begin < k) {
     std::size_t run_end = run_begin + 1;
     const u32 p = red.period[by_period[run_begin]];
     while (run_end < k && red.period[by_period[run_end]] == p) ++run_end;
     const std::size_t kk = run_end - run_begin;
-    const std::size_t L = std::bit_ceil(static_cast<std::size_t>(p));
-    std::vector<u32> flat(kk * L, blank);
-    pram::parallel_for(0, kk, [&](std::size_t t) {
-      const u32 c = by_period[run_begin + t];
-      for (u32 i = 0; i < p; ++i) flat[t * L + i] = data[red.offsets[c] + i];
-    });
-    const std::vector<u32> group_rep = partition_equal_strings(flat, kk, L, opt.partition_backend);
-    pram::parallel_for(0, kk, [&](std::size_t t) {
-      rep[by_period[run_begin + t]] = group_rep[t];
-    });
+    if (kk > 1) {
+      prepare_padding();
+      const std::size_t L = std::bit_ceil(static_cast<std::size_t>(p));
+      std::vector<u32> flat(kk * L, blank);
+      pram::parallel_for(0, kk, [&](std::size_t t) {
+        const u32 c = by_period[run_begin + t];
+        for (u32 i = 0; i < p; ++i) flat[t * L + i] = data[red.offsets[c] + i];
+      });
+      const std::vector<u32> group_rep =
+          partition_equal_strings(flat, kk, L, opt.partition_backend);
+      pram::parallel_for(0, kk, [&](std::size_t t) {
+        rep[by_period[run_begin + t]] = group_rep[t];
+      });
+    }
     run_begin = run_end;
   }
 

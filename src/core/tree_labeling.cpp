@@ -1,5 +1,6 @@
 #include "core/tree_labeling.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -9,6 +10,7 @@
 #include "prim/integer_sort.hpp"
 #include "prim/rename.hpp"
 #include "prim/scan.hpp"
+#include "prof/profile.hpp"
 
 namespace sfcp::core {
 
@@ -23,30 +25,73 @@ struct Residual {
 };
 
 // Step 5, strategy (a): process residual nodes level by level; one GLOBAL
-// (B, Q_parent) -> label table realizes Lemma 2.1(i) directly.
-void label_level_synchronous(const graph::Instance& inst, const Residual& res,
-                             std::span<const u32> level, std::vector<u32>& q, u32 fresh_base) {
-  const std::size_t n = inst.size();
-  if (res.nodes.empty()) return;
-  // Bucket residual nodes by level (stable integer sort).
-  std::vector<u64> keys(res.nodes.size());
-  pram::parallel_for(0, res.nodes.size(), [&](std::size_t i) { keys[i] = level[res.nodes[i]]; });
-  const std::vector<u32> by_level = prim::sort_order_by_key(keys);
-  prim::ConcurrentPairMap table(res.nodes.size());
-  std::size_t begin = 0;
-  while (begin < res.nodes.size()) {
-    const u32 lv = static_cast<u32>(keys[by_level[begin]]);
-    std::size_t end = begin + 1;
-    while (end < res.nodes.size() && keys[by_level[end]] == lv) ++end;
-    pram::parallel_for(begin, end, [&](std::size_t i) {
-      const u32 x = res.nodes[by_level[i]];
-      const u32 parent_q = q[inst.f[x]];
-      assert(parent_q != kNone && "parent must be labelled before its children");
-      q[x] = table.insert_or_get(pack_pair(inst.b[x], parent_q), fresh_base + x);
-    });
-    begin = end;
+// (B, Q_parent) -> label table realizes Lemma 2.1(i) directly.  The nodes
+// are renumbered once into level order, so a level's round streams over
+// its slice of level-ordered arrays.  A parent sits in an earlier, already
+// labelled slice, small and cache-resident, so every key is known ahead and
+// its table slot is prefetched before the insert that needs it.
+//
+// Level-order slots go into `slot` (n-sized, scratch); they and the labels
+// of already labelled parents stay below kSlotTag, which tags a key whose
+// parent half is a slot rather than a label.
+constexpr u32 kSlotTag = 1u << 31;
+constexpr std::size_t kPrefetchAhead = 16;
+
+void label_level_synchronous(const graph::Instance& inst, Residual& res,
+                             std::span<const u32> level, std::span<u32> slot, std::vector<u32>& q,
+                             u32 fresh_base) {
+  const std::size_t nr = res.nodes.size();
+  if (nr == 0) return;
+  assert(inst.size() < kSlotTag);
+  // Bucket residual nodes by level (stable integer sort); `node` holds
+  // indices into res.nodes until the gather below.
+  std::vector<u64> key(nr);
+  pram::parallel_for(0, nr, [&](std::size_t i) { key[i] = level[res.nodes[i]]; });
+  std::vector<u32> node = prim::sort_order_by_key(key);
+  std::vector<std::size_t> level_start{0};
+  while (level_start.back() < nr) {
+    const auto first = node.begin() + static_cast<std::ptrdiff_t>(level_start.back());
+    const u64 lv = key[*first];
+    const auto end = std::partition_point(first, node.end(), [&](u32 j) { return key[j] == lv; });
+    level_start.push_back(static_cast<std::size_t>(end - node.begin()));
   }
-  (void)n;
+  pram::charge(level_start.size());
+  // Gather: node ids in level order, their slots, then each node's key with
+  // its parent's label, or with its residual parent's tagged slot.
+  pram::parallel_for(0, nr, [&](std::size_t i) {
+    node[i] = res.nodes[node[i]];
+    slot[node[i]] = static_cast<u32>(i);
+  });
+  pram::parallel_for(0, nr, [&](std::size_t i) {
+    const u32 x = node[i];
+    const u32 p = inst.f[x];
+    assert(res.is_residual[p] || q[p] < kSlotTag);
+    key[i] = pack_pair(inst.b[x], res.is_residual[p] ? kSlotTag | slot[p] : q[p]);
+  });
+  // The level-ordered labels take over res.nodes, dead after the gather.
+  // A round writes its slice before any later round reads it.
+  std::vector<u32> label = std::move(res.nodes);
+  const auto key_of = [&](std::size_t i) {
+    const u64 k = key[i];
+    const u32 parent = pair_lo(k);
+    return (parent & kSlotTag) == 0 ? k : pack_pair(pair_hi(k), label[parent & ~kSlotTag]);
+  };
+  prim::ConcurrentPairMap table(nr);
+  for (std::size_t l = 0; l + 1 < level_start.size(); ++l) {
+    const std::size_t begin = level_start[l];
+    const std::size_t width = level_start[l + 1] - begin;
+    // A level narrower than the grain runs as one block, alone on the table.
+    const bool unshared = pram::num_blocks(width) == 1;
+    pram::parallel_blocks(width, [&](int, std::size_t lo, std::size_t hi) {
+      for (std::size_t i = begin + lo; i < begin + hi; ++i) {
+        if (i + kPrefetchAhead < begin + hi) table.prefetch(key_of(i + kPrefetchAhead));
+        const u32 proposal = fresh_base + node[i];
+        label[i] = unshared ? table.insert_or_get_unshared(key_of(i), proposal)
+                            : table.insert_or_get(key_of(i), proposal);
+        q[node[i]] = label[i];
+      }
+    });
+  }
 }
 
 // Step 5, strategy (b): ancestor doubling.  Residual chains are extended
@@ -193,26 +238,30 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
 
   // Step 3: keep a node iff its whole root path is marked — the root-path
   // count of unmarked nodes must be zero.
-  graph::root_path_sums(fc, bad, bad);
+  {
+    prof::Scope scope("sums");
+    graph::root_path_sums(fc, bad, bad);
+  }
 
   // Step 4: kept nodes keep their corresponding cycle node's Q-label; the
-  // rest form the residual forest, unlabelled until step 5.
+  // rest form the residual forest, unlabelled until step 5.  The
+  // compaction's flag pass marks them.
   Residual res;
-  res.is_residual.assign(n, 0);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (bad[x] == 0) return;
-    out.q[x] = kNone;
-    res.is_residual[x] = 1;
+  res.is_residual.resize(n);
+  res.nodes = prim::pack_index_if(n, [&](std::size_t x) {
+    res.is_residual[x] = bad[x] != 0;
+    if (res.is_residual[x]) out.q[x] = kNone;
+    return res.is_residual[x];
   });
-  res.nodes = prim::pack_index(res.is_residual);
   out.residual = static_cast<u32>(res.nodes.size());
   out.kept = static_cast<u32>(n - cs.cycle_nodes.size() - res.nodes.size());
 
-  // Step 5: label the residual forest.
+  // Step 5: label the residual forest; `bad` is dead and lends its storage.
+  prof::Scope scope("step5");
   const u32 fresh_base = cl.num_labels;
   switch (opt.strategy) {
     case TreeLabelStrategy::LevelSynchronous:
-      label_level_synchronous(inst, res, fc.level, out.q, fresh_base);
+      label_level_synchronous(inst, res, fc.level, bad, out.q, fresh_base);
       break;
     case TreeLabelStrategy::AncestorDoubling:
       label_ancestor_doubling(inst, res, out.q, fresh_base);

@@ -14,7 +14,12 @@
 // renaming.  The paper reaches O(n) operations in O(log n) time here with
 // Kedem–Palem's renaming.  The first two strategies bracket that bound,
 // each giving up one half of it; the third is the sequential reference:
-//   * LevelSynchronous — O(n) work, depth = residual tree height
+//   * LevelSynchronous — O(n) work, depth = residual tree height.  One level
+//     sort and one gather renumber the residual nodes into level order:
+//     node ids, and (B, parent) keys whose parent half is the parent's
+//     Q-label, or for a residual parent its level-order slot.  Each level's
+//     round then streams over its slice, reading parents' labels from the
+//     earlier slices, and prefetches table slots a few keys ahead.
 //   * AncestorDoubling — O(log n) depth, O(n log depth) work
 //   * SequentialDFS    — O(n) reference
 

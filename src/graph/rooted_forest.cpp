@@ -7,6 +7,7 @@
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
 #include "prim/scan.hpp"
+#include "prof/profile.hpp"
 
 namespace sfcp::graph {
 
@@ -16,23 +17,25 @@ void build_rooted_forest_into(std::span<const u32> f, std::span<const u8> on_cyc
   out.parent = f;
   out.is_root = on_cycle;
   out.roots = prim::pack_index(on_cycle);
-  // CSR by counting: parent p's child count goes to child_off[p + 1], so
-  // after an exclusive scan child_off[p + 1] is p's first slot, and bumping
-  // it once per placed child leaves it at p + 1's first slot.
+  // CSR by counting: each child's fetch_add on its parent's count is its
+  // slot among the siblings, so after an exclusive scan turns counts into
+  // first slots, every child is placed with a plain store.
   out.child_off.assign(n + 1, 0);
-  const auto bump = [&](u32 p) {
-    return std::atomic_ref<u32>(out.child_off[p + 1]).fetch_add(1, std::memory_order_relaxed);
-  };
+  out.sibling_index.resize(n);
   pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!on_cycle[x]) bump(f[x]);
+    if (on_cycle[x]) {
+      out.sibling_index[x] = 0;
+      return;
+    }
+    std::atomic_ref<u32> count(out.child_off[f[x]]);
+    out.sibling_index[x] = count.fetch_add(1, std::memory_order_relaxed);
   });
   out.child.resize(prim::exclusive_scan<u32>(out.child_off, out.child_off));
   pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!on_cycle[x]) out.child[bump(f[x])] = static_cast<u32>(x);
+    if (!on_cycle[x]) out.child[out.child_off[f[x]] + out.sibling_index[x]] = static_cast<u32>(x);
   });
-  // The atomics placed siblings in any order; ascending order makes the
+  // The atomics handed out slots in any order; ascending order makes the
   // forest (and so the Euler tour) the same whatever the scheduling.
-  out.sibling_index.assign(n, 0);
   pram::parallel_for(0, n, [&](std::size_t p) {
     const auto first = out.child.begin() + out.child_off[p];
     const auto last = out.child.begin() + out.child_off[p + 1];
@@ -187,15 +190,23 @@ void sums_doubling(const ForestContext& ctx, std::span<const u32> vals, std::spa
 void build_forest_context_into(std::span<const u32> f, std::span<const u8> on_cycle,
                                ForestStrategy strategy, ForestContext& ctx) {
   ctx.strategy = strategy;
-  build_rooted_forest_into(f, on_cycle, ctx.forest);
+  {
+    prof::Scope scope("forest");
+    build_rooted_forest_into(f, on_cycle, ctx.forest);
+  }
   ctx.level.resize(f.size());
   ctx.root_of.resize(f.size());
   if (strategy == ForestStrategy::EulerTour) {
-    build_euler_tour_into(ctx.forest, ctx.tour);
+    {
+      prof::Scope scope("tour");
+      build_euler_tour_into(ctx.forest, ctx.tour);
+    }
+    prof::Scope scope("levels");
     levels_euler(ctx);
     return;
   }
   ctx.tour = {};
+  prof::Scope scope("levels");
   if (strategy == ForestStrategy::Sequential) {
     levels_sequential(ctx);
   } else {

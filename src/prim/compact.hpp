@@ -12,7 +12,9 @@
 
 namespace sfcp::prim {
 
-/// Returns the indices i (ascending) for which pred(i) is truthy.
+/// Returns the indices i (ascending) for which pred(i) is truthy.  pred
+/// runs once per index, in one parallel round, so it may also write
+/// per-index outputs of its own.
 template <typename Pred>
 std::vector<u32> pack_index_if(std::size_t n, Pred&& pred) {
   std::vector<u32> flag(n);

@@ -18,6 +18,7 @@
 
 #include "pram/execution_context.hpp"
 #include "pram/metrics.hpp"
+#include "pram/parallel_for.hpp"
 #include "pram/types.hpp"
 
 namespace sfcp::prim {
@@ -44,19 +45,34 @@ class ConcurrentPairMap {
     std::size_t cap = 16;
     while (cap < 2 * max_items + 8) cap <<= 1;
     mask_ = cap - 1;
-    slots_ = std::make_unique<Slot[]>(cap);
+    slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
     clear();
   }
 
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
-  /// Resets all slots to empty (sequential; used between rounds in tests —
-  /// production rounds avoid it by salting keys with the round number).
-  void clear() noexcept {
-    for (std::size_t i = 0; i <= mask_; ++i) {
-      slots_[i].key.store(kReservedKey, std::memory_order_relaxed);
-      slots_[i].value.store(kNone, std::memory_order_relaxed);
+  /// Resets all slots to empty, split over the session's pool like a
+  /// parallel_for.  Like the allocation it completes, it is set-up rather
+  /// than PRAM work (the paper's table needs no initialization), so it
+  /// charges no round.  Not safe against concurrent inserts.
+  void clear() {
+    const std::size_t cap = capacity();
+    const int nb = pram::num_blocks(cap);
+    const auto reset = [this, cap, nb](std::size_t b) {
+      const auto [lo, hi] = pram::block_range(cap, nb, static_cast<int>(b));
+      for (std::size_t i = lo; i < hi; ++i) slots_[i] = Slot{kReservedKey, kNone};
+    };
+    if (nb == 1) {
+      reset(0);
+    } else {
+      pram::session_pool(pram::threads()).fan(static_cast<std::size_t>(nb), reset);
     }
+  }
+
+  /// Prefetches the first slot `key` probes, for a caller that knows its
+  /// keys a few inserts ahead: the miss then overlaps the inserts between.
+  void prefetch(u64 key) const noexcept {
+    __builtin_prefetch(&slots_[hash_u64(key ^ salt_) & mask_], 1);
   }
 
   /// Inserts (key, value) if the key is absent; returns the value that is
@@ -67,16 +83,37 @@ class ConcurrentPairMap {
     pram::charge_crcw(1);
     std::size_t i = hash_u64(key ^ salt_) & mask_;
     for (;;) {
-      u64 k = slots_[i].key.load(std::memory_order_acquire);
+      u64 k = key_at(i).load(std::memory_order_acquire);
       if (k == key) return wait_value(i);
       if (k == kReservedKey) {
         u64 expected = kReservedKey;
-        if (slots_[i].key.compare_exchange_strong(expected, key, std::memory_order_acq_rel,
-                                                  std::memory_order_acquire)) {
-          slots_[i].value.store(value, std::memory_order_release);
+        if (key_at(i).compare_exchange_strong(expected, key, std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+          value_at(i).store(value, std::memory_order_release);
           return value;
         }
         if (expected == key) return wait_value(i);
+      }
+      i = (i + 1) & mask_;
+    }
+  }
+
+  /// insert_or_get for a caller that has the table to itself for the call,
+  /// such as a round that runs as one block: plain loads and stores, since
+  /// a locked compare-exchange would first wait for every earlier store of
+  /// the caller to drain.
+  u32 insert_or_get_unshared(u64 key, u32 value) noexcept {
+    assert(key != kReservedKey && "key space exhausted sentinel");
+    assert(value != kNone);
+    pram::charge_crcw(1);
+    std::size_t i = hash_u64(key ^ salt_) & mask_;
+    for (;;) {
+      const u64 k = key_at(i).load(std::memory_order_relaxed);
+      if (k == key) return value_at(i).load(std::memory_order_relaxed);
+      if (k == kReservedKey) {
+        key_at(i).store(key, std::memory_order_relaxed);
+        value_at(i).store(value, std::memory_order_relaxed);
+        return value;
       }
       i = (i + 1) & mask_;
     }
@@ -87,25 +124,34 @@ class ConcurrentPairMap {
     assert(key != kReservedKey);
     std::size_t i = hash_u64(key ^ salt_) & mask_;
     for (;;) {
-      u64 k = slots_[i].key.load(std::memory_order_acquire);
-      if (k == key) return slots_[i].value.load(std::memory_order_acquire);
+      u64 k = key_at(i).load(std::memory_order_acquire);
+      if (k == key) return value_at(i).load(std::memory_order_acquire);
       if (k == kReservedKey) return kNone;
       i = (i + 1) & mask_;
     }
   }
 
  private:
+  // Plain fields behind std::atomic_ref, so allocation leaves the slots
+  // uninitialized and clear() is the one pass that writes them.
   struct Slot {
-    std::atomic<u64> key;
-    std::atomic<u32> value;
+    u64 key;
+    u32 value;
   };
+
+  std::atomic_ref<u64> key_at(std::size_t i) const noexcept {
+    return std::atomic_ref<u64>(slots_[i].key);
+  }
+  std::atomic_ref<u32> value_at(std::size_t i) const noexcept {
+    return std::atomic_ref<u32>(slots_[i].value);
+  }
 
   u32 wait_value(std::size_t i) const noexcept {
     // The slot's key is published before its value; spin for the tiny
     // window between the two stores.
     u32 v;
     do {
-      v = slots_[i].value.load(std::memory_order_acquire);
+      v = value_at(i).load(std::memory_order_acquire);
     } while (v == kNone);
     return v;
   }

@@ -15,30 +15,37 @@ constexpr int kDigitBits = 8;
 constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 
 // One stable counting pass on digit `shift`, permuting `src_idx` into
-// `dst_idx` ordered by the digit.
+// `dst_idx` ordered by the digit.  Each block counts into a private
+// histogram and scatters through private offsets, so no two blocks write
+// the same cache line; the offsets run digit-major over the blocks' rows,
+// which keeps equal digits in block order (stability).
 void counting_pass(std::span<const u64> keys, std::span<const u32> src_idx,
                    std::span<u32> dst_idx, int shift) {
   const std::size_t n = src_idx.size();
-  const int nb = pram::num_blocks(n);
-  const std::size_t nbz = static_cast<std::size_t>(nb);
-  // counts laid out column-major: counts[bucket * nb + block], so that a
-  // single exclusive scan yields stable global offsets.
-  std::vector<u32> counts(kBuckets * nbz, 0);
+  const std::size_t nb = static_cast<std::size_t>(pram::num_blocks(n));
+  std::vector<u32> counts(nb * kBuckets);  // row-major: counts[block * kBuckets + digit]
+  const auto digit_of = [&](std::size_t i) { return (keys[src_idx[i]] >> shift) & (kBuckets - 1); };
   pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
-    u32* c = counts.data() + 0;  // column-major addressing below
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t digit = (keys[src_idx[i]] >> shift) & (kBuckets - 1);
-      ++c[digit * nbz + static_cast<std::size_t>(b)];
-    }
+    u32 local[kBuckets] = {};
+    for (std::size_t i = lo; i < hi; ++i) ++local[digit_of(i)];
+    std::copy(local, local + kBuckets, counts.begin() + static_cast<std::ptrdiff_t>(b) * kBuckets);
   });
-  exclusive_scan<u32>(counts, counts);
+  u32 offset = 0;
+  for (std::size_t digit = 0; digit < kBuckets; ++digit) {
+    for (std::size_t b = 0; b < nb; ++b) {
+      u32& c = counts[b * kBuckets + digit];
+      const u32 count = c;
+      c = offset;
+      offset += count;
+    }
+  }
   pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t digit = (keys[src_idx[i]] >> shift) & (kBuckets - 1);
-      dst_idx[counts[digit * nbz + static_cast<std::size_t>(b)]++] = src_idx[i];
-    }
+    u32 next[kBuckets];
+    const auto row = counts.begin() + static_cast<std::ptrdiff_t>(b) * kBuckets;
+    std::copy(row, row + kBuckets, next);
+    for (std::size_t i = lo; i < hi; ++i) dst_idx[next[digit_of(i)]++] = src_idx[i];
   });
-  pram::charge_sort(2 * n + kBuckets * nbz);
+  pram::charge_sort(2 * n + kBuckets * nb);
 }
 
 u64 max_key_of(std::span<const u64> keys) {

@@ -4,8 +4,8 @@
 // The paper uses the deterministic parallel integer sort of Bhatt et al. [4]
 // as a black box; it is the single source of the O(n log log n) term in
 // Theorem 5.1.  We realize the same interface with a stable LSD radix sort:
-// per-block counting, a column-major prefix sum over (digit, block) counts,
-// and a stable scatter — linear work per digit pass.
+// a private digit histogram per block, offsets taken digit-major over the
+// blocks' histograms, and a stable scatter — linear work per digit pass.
 
 #include <cstddef>
 #include <span>

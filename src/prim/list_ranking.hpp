@@ -57,6 +57,12 @@ inline bool is_ruling_splitter(u64 id) noexcept { return hash_u64(id) % 64 == 0;
 /// sequential walk, and one flat pass expands the result.  O(n) work even
 /// when an orbit avoids every sample: it is then walked once as segments,
 /// never re-walked.
+///
+/// Accounting: the contraction walk (here and in list_rank's RulingSet) is
+/// charged as work but not as rounds, although its steps are dependent.
+/// Where samples are sparse it is long: on util::splitter_free_cycle(2^20)
+/// it is about 2M steps, most of cycle detection's time, with no round
+/// counted, so pram::Metrics understates the depth of such inputs.
 void rank_orbits(std::span<const u32> succ, std::span<const u8> active, std::span<u32> leader,
                  std::span<u32> rank, std::span<u32> length);
 

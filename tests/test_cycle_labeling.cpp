@@ -155,5 +155,69 @@ TEST(CycleLabeling, EqualCyclesClassCount) {
   EXPECT_TRUE(core::same_partition(cl.q, oracle.q));
 }
 
+// A permutation instance with one cycle per string: the cycle's nodes, in
+// successor order starting from a random offset, carry the string's labels.
+graph::Instance cycles_of(const std::vector<std::vector<u32>>& strings, util::Rng& rng) {
+  graph::Instance inst;
+  for (const auto& s : strings) {
+    const u32 base = static_cast<u32>(inst.f.size());
+    const u32 len = static_cast<u32>(s.size());
+    const u32 shift = rng.below_u32(len);
+    for (u32 i = 0; i < len; ++i) {
+      inst.f.push_back(base + (i + 1) % len);
+      inst.b.push_back(s[(i + shift) % len]);
+    }
+  }
+  return inst;
+}
+
+// Labels from both backends must be identical and partition like the oracle.
+void expect_backends_match_oracle(const graph::Instance& inst) {
+  const auto hashed = label(inst, RenameBackend::Hashed);
+  const auto sorted = label(inst, RenameBackend::Sorted);
+  EXPECT_EQ(hashed.q, sorted.q);
+  EXPECT_EQ(hashed.class_id, sorted.class_id);
+  EXPECT_TRUE(core::same_partition(hashed.q, core::solve_naive_refinement(inst).q));
+}
+
+TEST(CycleLabeling, AllDistinctPeriods) {
+  // "0 1 ... 1" is primitive at every length, so every period group holds
+  // one cycle and no group runs the string partition.
+  util::Rng rng(929);
+  std::vector<std::vector<u32>> strings;
+  for (u32 len = 1; len <= 40; ++len) {
+    std::vector<u32> s(len, 1);
+    s[0] = 0;
+    strings.push_back(s);
+  }
+  const auto inst = cycles_of(strings, rng);
+  const auto cl = label(inst);
+  EXPECT_EQ(cl.num_classes, strings.size());
+  expect_backends_match_oracle(inst);
+}
+
+TEST(CycleLabeling, MixedSingletonAndMultiCycleGroups) {
+  util::Rng rng(937);
+  for (int iter = 0; iter < 20; ++iter) {
+    // Periods 1..12; a period draws zero to three cycles, some of them
+    // copies of an earlier string (rotated by cycles_of), some fresh.
+    std::vector<std::vector<u32>> strings;
+    for (u32 len = 1; len <= 12; ++len) {
+      const u32 count = rng.below_u32(4);
+      for (u32 c = 0; c < count; ++c) {
+        if (c > 0 && rng.below_u32(2) == 0) {
+          strings.push_back(strings.back());
+          continue;
+        }
+        std::vector<u32> s(len);
+        for (auto& x : s) x = rng.below_u32(3);
+        strings.push_back(s);
+      }
+    }
+    if (strings.empty()) continue;
+    expect_backends_match_oracle(cycles_of(strings, rng));
+  }
+}
+
 }  // namespace
 }  // namespace sfcp

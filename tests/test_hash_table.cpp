@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "pram/execution_context.hpp"
+#include "pram/parallel_for.hpp"
 #include "prim/hash_table.hpp"
 #include "util/random.hpp"
 
@@ -50,6 +52,43 @@ TEST(HashTable, ClearResets) {
   table.insert_or_get(1, 2);
   table.clear();
   EXPECT_EQ(table.find(1), kNone);
+}
+
+TEST(HashTable, ParallelClearAndPrefetchKeepInsertOrGet) {
+  // Capacity far above the grain: clear() splits over both lanes.  Rounds
+  // prefetch a key a few inserts ahead, as step 5 does; every key must
+  // still get exactly one value, the parallel round's keys must be gone
+  // after the clear, and a sequential reference must agree on the rest.
+  const pram::ScopedContext pooled(pram::ExecutionContext{}.with_threads(2).with_grain(64));
+  const std::size_t n = 20000;
+  prim::ConcurrentPairMap table(n);
+  for (u64 round = 0; round < 2; ++round) {
+    util::Rng rng(43 + round);
+    std::vector<u64> keys(n);
+    for (auto& k : keys) k = (round << 40) | rng.below(n / 4);
+    std::vector<u32> got(n);
+    pram::parallel_for(0, n, [&](std::size_t i) {
+      if (i + 16 < n) table.prefetch(keys[i + 16]);
+      got[i] = table.insert_or_get(keys[i], static_cast<u32>(i));
+    });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(got[i], table.find(keys[i]));
+      EXPECT_EQ(keys[got[i]], keys[i]) << "the winner proposed for its own key";
+    }
+    table.clear();
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(table.find(keys[i]), kNone);
+    // Sequential inserts, locked and unshared alternating, against a
+    // single-threaded reference.
+    prim::FlatPairMap reference(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      table.prefetch(keys[i]);
+      const u32 value = static_cast<u32>(i);
+      const u32 got_i = i % 2 ? table.insert_or_get_unshared(keys[i], value)
+                              : table.insert_or_get(keys[i], value);
+      EXPECT_EQ(got_i, reference.insert_or_get(keys[i], value));
+    }
+    table.clear();
+  }
 }
 
 TEST(HashTable, ConcurrentInsertConsistency) {

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "pram/config.hpp"
+#include "pram/execution_context.hpp"
 #include "prim/integer_sort.hpp"
 #include "util/random.hpp"
 
@@ -73,6 +74,13 @@ TEST_P(IntegerSortSweep, MatchesStdStableSort) {
   for (const std::size_t grain : {64u, 1u << 22}) {
     pram::ScopedGrain g(grain);
     EXPECT_EQ(prim::sort_order_by_key(keys), ref) << "n=" << n << " bound=" << key_bound;
+  }
+  // Several blocks per digit pass, each with its own histogram row.
+  for (const int threads : {2, 4}) {
+    const pram::ScopedContext pooled(
+        pram::ExecutionContext{}.with_threads(threads).with_grain(64));
+    EXPECT_EQ(prim::sort_order_by_key(keys), ref)
+        << "n=" << n << " bound=" << key_bound << " threads=" << threads;
   }
 }
 

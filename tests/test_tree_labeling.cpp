@@ -5,6 +5,7 @@
 #include "core/baselines.hpp"
 #include "core/coarsest_partition.hpp"
 #include "core/verify.hpp"
+#include "pram/execution_context.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -125,6 +126,74 @@ TEST(TreeLabeling, DeepResidualChains) {
           << static_cast<int>(ts) << "/" << static_cast<int>(fs);
     }
   }
+}
+
+// Step 5's level-ordered rounds at two lanes and grain 64, so wide levels
+// split into several blocks and prefetch runs up to each block's end: the
+// labels must equal the sequential solve's byte for byte.
+void expect_level_synchronous_matches_sequential(const graph::Instance& inst) {
+  const auto want = solve(inst, Options::sequential()).q;
+  const pram::ScopedContext pooled(pram::ExecutionContext{}.with_threads(2).with_grain(64));
+  for (auto fs : kForest) {
+    EXPECT_EQ(solve(inst, with(TreeLabelStrategy::LevelSynchronous, fs)).q, want)
+        << static_cast<int>(fs);
+  }
+}
+
+TEST(LevelSynchronous, LongTailsMatchSequential) {
+  util::Rng rng(1013);
+  expect_level_synchronous_matches_sequential(util::long_tail(6000, 7, 2, rng));
+  expect_level_synchronous_matches_sequential(util::long_tail(6000, 1, 3, rng));
+}
+
+TEST(LevelSynchronous, StarMatchesSequential) {
+  // One self-loop with 4000 children: a single level of residual nodes.
+  util::Rng rng(1019);
+  graph::Instance inst;
+  inst.f.assign(4001, 0);
+  inst.b.push_back(0);
+  for (int i = 0; i < 4000; ++i) inst.b.push_back(rng.below_u32(5));
+  expect_level_synchronous_matches_sequential(inst);
+}
+
+TEST(LevelSynchronous, RandomFunctionMatchesSequential) {
+  util::Rng rng(1021);
+  expect_level_synchronous_matches_sequential(util::random_function(1 << 14, 3, rng));
+}
+
+TEST(LevelSynchronous, ClassSpansSeveralLevels) {
+  // A self-loop and a 60-node kept spine share B-label 1, so every anchor
+  // carries one Q-label.  Off each spine node hangs a residual tree of
+  // random depth (B-labels 8 and 9): its root sits one level below its
+  // anchor, so the class of residual roots spans 60 levels, and so do the
+  // classes below it.
+  util::Rng rng(1031);
+  graph::Instance inst{{0}, {1}};
+  for (u32 i = 1; i <= 60; ++i) {
+    inst.f.push_back(i - 1);
+    inst.b.push_back(1);
+  }
+  std::vector<u32> residual_roots;
+  for (u32 anchor = 0; anchor <= 60; ++anchor) {
+    const u32 root = static_cast<u32>(inst.f.size());
+    residual_roots.push_back(root);
+    inst.f.push_back(anchor);
+    inst.b.push_back(9);
+    const u32 depth = rng.below_u32(40);
+    for (u32 d = 0; d < depth; ++d) {
+      // Two children per level, the next level hanging off either.
+      const u32 parent = static_cast<u32>(inst.f.size()) - 1 - rng.below_u32(d == 0 ? 1 : 2);
+      for (int c = 0; c < 2; ++c) {
+        inst.f.push_back(parent);
+        inst.b.push_back(8 + rng.below_u32(2));
+      }
+    }
+  }
+  expect_level_synchronous_matches_sequential(inst);
+  const auto r = solve(inst, Options::parallel());
+  for (const u32 root : residual_roots) EXPECT_EQ(r.q[root], r.q[residual_roots[0]]);
+  EXPECT_NE(r.q[residual_roots[0]], r.q[0]);
+  EXPECT_TRUE(core::same_partition(r.q, solve_naive_refinement(inst).q));
 }
 
 class TreeLabelingSweep
