@@ -74,16 +74,17 @@ void BM_FindFirst(benchmark::State& state) {
 }
 BENCHMARK(BM_FindFirst)->Range(1 << 14, 1 << 22);
 
+// The forest's tour from scratch: the Euler partition of f, its ranking,
+// and the layout with levels and owning roots read off it.
 void BM_EulerTourBuild(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(4);
   const auto inst = util::random_function(n, 3, rng);
   const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
   graph::ForestContext fc;
-  graph::build_forest_context_into(inst.f, cs.on_cycle, graph::ForestStrategy::EulerTour, fc);
   for (auto _ : state) {
-    graph::build_euler_tour_into(fc.forest, fc.tour);
-    benchmark::DoNotOptimize(fc.tour.order.data());
+    graph::build_forest_context_into(inst.f, cs, graph::ForestStrategy::EulerTour, false, fc);
+    benchmark::DoNotOptimize(fc.level.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(n));

@@ -50,12 +50,12 @@ Options Options::sequential() {
 std::size_t SolveWorkspace::capacity_bytes() const noexcept {
   const auto b = [](const auto& v) { return v.capacity() * sizeof(*v.data()); };
   const graph::ForestContext& fc = tl.forest;
+  const graph::EulerPartition& arcs = fc.arcs;
   return b(on_cycle) + b(cs.on_cycle) + b(cs.leader) + b(cs.rank) + b(cs.length) +
          b(cs.cycle_nodes) + b(cs.cycle_offset) + b(cs.cycle_of) + b(cl.q) + b(cl.period) +
-         b(cl.msp) + b(cl.class_id) + b(tl.q) + b(fc.forest.child_off) + b(fc.forest.child) +
-         b(fc.forest.sibling_index) + b(fc.forest.roots) + b(fc.tour.pos) + b(fc.tour.order) +
-         b(fc.tour.seg_start) + b(fc.tour.seg_root) + b(fc.level) + b(fc.root_of) +
-         b(fc.scratch);
+         b(cl.msp) + b(cl.class_id) + b(tl.q) + b(arcs.pre_off) + b(arcs.pre) + b(arcs.succ) +
+         b(arcs.leader) + b(arcs.pos) + b(fc.level) + b(fc.root_of) + b(fc.scratch) +
+         tl.table.bytes();
 }
 
 Result solve(const graph::Instance& inst, const Options& opt) {
@@ -71,12 +71,13 @@ Result solve(const graph::Instance& inst, const Options& opt, SolveWorkspace& ws
   prof::Scope prof_solve("solve");
 
   // Step 1 (Section 5): mark the cycle nodes with the configured detector
-  // (Euler tour by default, per the paper), then derive the full cycle
-  // structure (leader, rank, contiguous arrangement).
+  // (Euler partition by default, per the paper), then derive the full cycle
+  // structure (leader, rank, contiguous arrangement).  The Euler detector
+  // leaves its ranked partition where the tree labelling reads it.
   {
     prof::Scope s("cycle_detect");
     prof::charge_bytes(8 * n);  // read f, write on_cycle (one logical pass)
-    graph::find_cycle_nodes_into(inst.f, opt.cycle_detect, ws.on_cycle);
+    graph::find_cycle_nodes_into(inst.f, opt.cycle_detect, ws.on_cycle, ws.tl.forest.arcs);
   }
   {
     prof::Scope s("cycle_structure");
@@ -97,7 +98,8 @@ Result solve(const graph::Instance& inst, const Options& opt, SolveWorkspace& ws
     prof::Scope s("tree_label");
     prof::charge_bytes(16 * n);  // forest build + signature passes
     prof::charge_flops(2 * n);
-    label_trees_into(inst, ws.cs, ws.cl, opt.tree_labeling, ws.tl);
+    label_trees_into(inst, ws.cs, ws.cl, opt.tree_labeling, ws.tl,
+                     opt.cycle_detect == graph::CycleDetectStrategy::EulerTour);
   }
 
   // Canonicalize to first-occurrence dense labels.

@@ -59,7 +59,8 @@ struct SolveWorkspace {
   TreeLabeling tl;
 
   /// Bytes the workspace's arrays keep allocated (their capacities),
-  /// including the tree labelling's forest context.
+  /// including the tree labelling's forest context, which holds the Euler
+  /// partition, and its step-5 table.
   std::size_t capacity_bytes() const noexcept;
 };
 

@@ -37,9 +37,13 @@ struct Residual {
 constexpr u32 kSlotTag = 1u << 31;
 constexpr std::size_t kPrefetchAhead = 16;
 
+// glibc's default mmap threshold: larger blocks are mapped afresh per
+// allocation and fault in on first touch.
+constexpr std::size_t kKeptTableBytes = std::size_t{128} << 10;
+
 void label_level_synchronous(const graph::Instance& inst, Residual& res,
                              std::span<const u32> level, std::span<u32> slot, std::vector<u32>& q,
-                             u32 fresh_base) {
+                             u32 fresh_base, prim::ConcurrentPairMap& table) {
   const std::size_t nr = res.nodes.size();
   if (nr == 0) return;
   assert(inst.size() < kSlotTag);
@@ -76,7 +80,7 @@ void label_level_synchronous(const graph::Instance& inst, Residual& res,
     const u32 parent = pair_lo(k);
     return (parent & kSlotTag) == 0 ? k : pack_pair(pair_hi(k), label[parent & ~kSlotTag]);
   };
-  prim::ConcurrentPairMap table(nr);
+  table.reset(nr);
   for (std::size_t l = 0; l + 1 < level_start.size(); ++l) {
     const std::size_t begin = level_start[l];
     const std::size_t width = level_start[l + 1] - begin;
@@ -100,7 +104,7 @@ void label_level_synchronous(const graph::Instance& inst, Residual& res,
 // eventually constant; 2^j-prefix codes then converge to the Lemma 4.2
 // equivalence in ceil(log2(depth+2)) rounds.
 void label_ancestor_doubling(const graph::Instance& inst, const Residual& res,
-                             std::vector<u32>& q, u32 fresh_base) {
+                             std::vector<u32>& q, u32 fresh_base, prim::ConcurrentPairMap& table) {
   const std::size_t nr = res.nodes.size();
   if (nr == 0) return;
   // Dense index of residual nodes.
@@ -167,20 +171,20 @@ void label_ancestor_doubling(const graph::Instance& inst, const Residual& res,
     anc.swap(anc2);
   }
   // Final labels: fresh_base + winner of each code class.
-  prim::ConcurrentPairMap table(nr);
+  table.reset(nr);
   pram::parallel_for(0, nr, [&](std::size_t i) {
     q[res.nodes[i]] = table.insert_or_get(code[i], fresh_base + static_cast<u32>(i));
   });
 }
 
 // Step 5, strategy (c): per-root DFS with a global sequential rename table.
-void label_sequential_dfs(const graph::Instance& inst, const graph::RootedForest& forest,
+void label_sequential_dfs(const graph::Instance& inst, const graph::EulerPartition& arcs,
                           const Residual& res, std::vector<u32>& q, u32 fresh_base) {
   prim::FlatPairMap table(res.nodes.size());
   u32 next_label = fresh_base;
   // Residual roots: residual nodes whose parent is not residual.  Walk each
-  // subtree top-down; children of a residual node inside the residual
-  // forest are exactly its forest children that are residual.
+  // subtree top-down.  A residual node is a tree node whose root path has
+  // an unmarked node, so all of its preimages are residual tree nodes.
   std::vector<u32> stack;
   for (const u32 x : res.nodes) {
     if (res.is_residual[inst.f[x]]) continue;
@@ -190,9 +194,7 @@ void label_sequential_dfs(const graph::Instance& inst, const graph::RootedForest
       stack.pop_back();
       q[v] = table.insert_or_get(pack_pair(inst.b[v], q[inst.f[v]]), next_label);
       if (q[v] == next_label) ++next_label;
-      for (u32 i = forest.child_off[v]; i < forest.child_off[v + 1]; ++i) {
-        stack.push_back(forest.child[i]);
-      }
+      for (const u32 c : arcs.preimages(v)) stack.push_back(c);
     }
   }
   pram::charge(res.nodes.size());
@@ -209,13 +211,20 @@ TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructur
 
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out) {
+  label_trees_into(inst, cs, cl, opt, out, false);
+}
+
+void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
+                      const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out,
+                      bool arcs_built) {
   const std::size_t n = inst.size();
   out.q = cl.q;
   out.kept = 0;
   out.residual = 0;
+  if (cs.cycle_nodes.size() == n) return;  // no trees to label
 
   graph::ForestContext& fc = out.forest;
-  graph::build_forest_context_into(inst.f, cs.on_cycle, opt.forest, fc);
+  graph::build_forest_context_into(inst.f, cs, opt.forest, arcs_built, fc);
 
   // Steps 1-2: mark tree nodes whose B-label matches the corresponding
   // cycle node (Lemma 4.1); cycle nodes are trivially marked.  Every tree
@@ -261,15 +270,18 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   const u32 fresh_base = cl.num_labels;
   switch (opt.strategy) {
     case TreeLabelStrategy::LevelSynchronous:
-      label_level_synchronous(inst, res, fc.level, bad, out.q, fresh_base);
+      label_level_synchronous(inst, res, fc.level, bad, out.q, fresh_base, out.table);
       break;
     case TreeLabelStrategy::AncestorDoubling:
-      label_ancestor_doubling(inst, res, out.q, fresh_base);
+      label_ancestor_doubling(inst, res, out.q, fresh_base, out.table);
       break;
     case TreeLabelStrategy::SequentialDFS:
-      label_sequential_dfs(inst, fc.forest, res, out.q, fresh_base);
+      label_sequential_dfs(inst, fc.arcs, res, out.q, fresh_base);
       break;
   }
+  // A table below the allocator's mapping threshold comes back from the
+  // heap without page faults, so only a larger one is worth keeping.
+  if (out.table.bytes() < kKeptTableBytes) out.table = {};
 }
 
 }  // namespace sfcp::core

@@ -2,8 +2,11 @@
 // Q-labels of tree nodes — Section 4, Algorithm "tree node labeling".
 //
 // The forest facts every step needs (levels, owning roots, root-path sums)
-// come from one graph::ForestContext per solve: under the paper's
-// EulerTour strategy that is one Euler tour, list-ranked once.
+// come from one graph::ForestContext per solve.  Under the paper's
+// EulerTour strategy they are prefix sums over the forest's tour, read off
+// the Euler partition that cycle detection (§5) ranked: a solve builds and
+// ranks that partition once, for both sections.  An instance whose nodes
+// all lie on cycles has no trees, and its labelling is the cycle labelling.
 // Step 1-2: a tree node x at level l is "marked" iff its B-label equals
 // that of its corresponding cycle node f^{k - (l mod k)}(r) (Lemma 4.1).
 // Step 3: a node keeps its mark only if its whole root path is marked (one
@@ -31,6 +34,7 @@
 #include "graph/functional_graph.hpp"
 #include "graph/rooted_forest.hpp"
 #include "pram/types.hpp"
+#include "prim/hash_table.hpp"
 
 namespace sfcp::core {
 
@@ -47,7 +51,12 @@ struct TreeLabeling {
   u32 residual = 0;    ///< tree nodes labelled in step 5
   /// The solve's forest, levels, roots and tour.  It views the instance's f
   /// and the cycle structure's on_cycle, so read it only while both live.
+  /// A solve without tree nodes leaves it as it stands.
   graph::ForestContext forest;
+  /// Step 5's (B, parent label) table when it is large, kept so that
+  /// same-sized solves reuse its slots instead of faulting in a fresh
+  /// mapping; a small one is released after each solve.
+  prim::ConcurrentPairMap table;
 };
 
 /// Extends the cycle labelling `cl` to all tree nodes.
@@ -55,8 +64,16 @@ TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructur
                          const CycleLabeling& cl, const TreeLabelingOptions& opt = {});
 
 /// Workspace-reusing variant: rebuilds `out` in place, reusing the capacity
-/// of its labels and forest context across calls.
+/// of its labels, forest context and table across calls.
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out);
+
+/// The solve's form: when `arcs_built`, out.forest.arcs already holds
+/// inst.f's Euler partition, as find_cycle_nodes_into's EulerTour detector
+/// left it there, and the forest context uses it instead of building its
+/// own.
+void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
+                      const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out,
+                      bool arcs_built);
 
 }  // namespace sfcp::core

@@ -13,7 +13,7 @@ Components connected_components(std::span<const u32> f, ForestStrategy strategy)
   if (n == 0) return out;
   const CycleStructure cs = cycle_structure(f, CycleStructureStrategy::PointerJumping);
   ForestContext fc;
-  build_forest_context_into(f, cs.on_cycle, strategy, fc);
+  build_forest_context_into(f, cs, strategy, false, fc);
   // Component id = dense cycle id of the owning root's cycle.
   pram::parallel_for(0, n, [&](std::size_t x) { out.id[x] = cs.cycle_of[fc.root_of[x]]; });
   const std::size_t k = cs.num_cycles();

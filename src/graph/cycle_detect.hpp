@@ -12,13 +12,17 @@
 //   * Sequential     — visited-walk reference, O(n)
 //   * FunctionPowers — cycle nodes = image of f^N (N >= n) by repeated
 //                      squaring, O(n log n) work / O(log n) depth
-//   * EulerTour      — the paper's §5 algorithm: preimage lists by counting
-//                      sort, Euler cycle ids by ruling-set orbit ranking
-//                      (prim::rank_orbits), O(n) expected work
+//   * EulerTour      — the paper's §5 algorithm: the Euler partition of
+//                      euler_tour.hpp (preimage lists by counting sort,
+//                      Euler cycles by ruling-set orbit ranking), O(n)
+//                      expected work.  A solve keeps the partition: tree
+//                      labelling reads the forest's tour, levels and roots
+//                      off the same ranked arcs.
 
 #include <span>
 #include <vector>
 
+#include "graph/euler_tour.hpp"
 #include "pram/types.hpp"
 
 namespace sfcp::graph {
@@ -33,5 +37,11 @@ std::vector<u8> find_cycle_nodes(std::span<const u32> f,
 /// f.size(); existing capacity is reused across calls).
 void find_cycle_nodes_into(std::span<const u32> f, CycleDetectStrategy strategy,
                            std::vector<u8>& on_cycle);
+
+/// As above, and under EulerTour leaves f's Euler partition in `arcs` for
+/// the forest context (rooted_forest.hpp); the other strategies leave
+/// `arcs` untouched.
+void find_cycle_nodes_into(std::span<const u32> f, CycleDetectStrategy strategy,
+                           std::vector<u8>& on_cycle, EulerPartition& arcs);
 
 }  // namespace sfcp::graph

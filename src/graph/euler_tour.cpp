@@ -1,77 +1,93 @@
 #include "graph/euler_tour.hpp"
 
-#include "graph/rooted_forest.hpp"
+#include <algorithm>
+#include <atomic>
+
 #include "pram/parallel_for.hpp"
-#include "prim/compact.hpp"
+#include "prim/list_ranking.hpp"
+#include "prim/scan.hpp"
 
 namespace sfcp::graph {
 
 namespace {
 
-u32 head_arc(const RootedForest& forest, u32 r) {
-  return EulerTour::down_arc(forest.child[forest.child_off[r]]);
-}
+using Arcs = EulerPartition;
 
-u32 tail_arc(const RootedForest& forest, u32 r) {
-  return EulerTour::up_arc(forest.child[forest.child_off[r + 1] - 1]);
+// Preimage lists by a counting sort on f (paper: "the data structure ...
+// can easily be done by using an integer sorting algorithm").  Counting
+// hands every node a slot in its image's list, in whatever order the
+// atomics ran, so each short list is then sorted and the slots renumbered:
+// index[x] = position of x within pre[f(x)].  Placing through the counted
+// slot, not a second fetch_add, keeps the placement's random stores out
+// from behind locked instructions.
+void count_preimages(std::span<const u32> f, EulerPartition& arcs, std::span<u32> index) {
+  const std::size_t n = f.size();
+  arcs.pre_off.assign(n + 1, 0);
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    index[x] = std::atomic_ref<u32>(arcs.pre_off[f[x]]).fetch_add(1, std::memory_order_relaxed);
+  });
+  prim::exclusive_scan<u32>(arcs.pre_off, arcs.pre_off);  // pre_off[n] = n
+  arcs.pre.resize(n);
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    arcs.pre[arcs.pre_off[f[x]] + index[x]] = static_cast<u32>(x);
+  });
+  pram::parallel_for(0, n, [&](std::size_t v) {
+    const auto first = arcs.pre.begin() + arcs.pre_off[v];
+    const auto last = arcs.pre.begin() + arcs.pre_off[v + 1];
+    std::sort(first, last);
+    for (auto x = first; x != last; ++x) index[*x] = static_cast<u32>(x - first);
+  });
 }
 
 }  // namespace
 
-void build_euler_tour_into(const RootedForest& forest, EulerTour& tour,
-                           prim::ListRankStrategy ranking) {
-  const std::size_t n = forest.size();
-  // Successor of each arc in the chained tour.  It lives in `pos` until the
-  // list is ranked; roots' arcs stay kNone in both roles.
-  std::vector<u32>& succ = tour.pos;
-  succ.assign(2 * n, kNone);
+u32 EulerPartition::pred(std::span<const u32> f, u32 arc) const {
+  const u32 x = arc / 2;
+  if (arc == up_arc(x)) {  // x's first out-arc follows the buddy of its last
+    return pre_off[x + 1] > pre_off[x] ? up_arc(pre[pre_off[x + 1] - 1]) : down_arc(x);
+  }
+  const std::span<const u32> sib = preimages(f[x]);
+  const auto at = std::lower_bound(sib.begin(), sib.end(), x);
+  return at == sib.begin() ? down_arc(f[x]) : up_arc(*(at - 1));
+}
+
+void build_preimages_into(std::span<const u32> f, EulerPartition& arcs) {
+  arcs.ranked = false;
+  arcs.leader.resize(f.size());  // lends its storage to the slot indices
+  count_preimages(f, arcs, arcs.leader);
+}
+
+void build_euler_partition_into(std::span<const u32> f, EulerPartition& arcs) {
+  const std::size_t n = f.size();
+  arcs.ranked = false;
+  // `leader` is written last, by the ranking, so it holds the slot indices
+  // until then.
+  arcs.leader.resize(2 * n);
+  const std::span<u32> index(arcs.leader.data(), n);
+  count_preimages(f, arcs, index);
+  // Successors (paper §5): after arc 2x into v = f(x) comes the buddy of
+  // x's next sibling, or 2v after the last; after the buddy 2x+1 into x
+  // comes the buddy of x's first preimage, or 2x when x has none.  A node
+  // whose in-degree is not 1 rules out a permutation; the flag is stored
+  // only while still clear, so its line stays shared.
+  std::atomic<bool> has_trees{false};
+  arcs.succ.resize(2 * n);
   pram::parallel_for(0, n, [&](std::size_t xi) {
     const u32 x = static_cast<u32>(xi);
-    if (forest.is_root[x]) return;
-    // down-arc: descend to the first child, or bounce straight back up.
-    succ[EulerTour::down_arc(x)] = forest.degree(x) > 0
-                                       ? EulerTour::down_arc(forest.child[forest.child_off[x]])
-                                       : EulerTour::up_arc(x);
-    // up-arc: continue to the next sibling, else climb (ends at a root).
-    const u32 p = forest.parent[x];
-    const u32 s = forest.sibling_index[x];
-    if (s + 1 < forest.degree(p)) {
-      succ[EulerTour::up_arc(x)] = EulerTour::down_arc(forest.child[forest.child_off[p] + s + 1]);
-    } else if (!forest.is_root[p]) {
-      succ[EulerTour::up_arc(x)] = EulerTour::up_arc(p);
-    }  // else: end of this tree's tour (chained below)
+    const u32 v = f[x];
+    const u32 next = arcs.pre_off[v] + index[x] + 1;
+    arcs.succ[Arcs::up_arc(x)] =
+        next < arcs.pre_off[v + 1] ? Arcs::down_arc(arcs.pre[next]) : Arcs::up_arc(v);
+    const u32 deg = arcs.pre_off[x + 1] - arcs.pre_off[x];
+    arcs.succ[Arcs::down_arc(x)] =
+        deg > 0 ? Arcs::down_arc(arcs.pre[arcs.pre_off[x]]) : Arcs::up_arc(x);
+    if (deg != 1 && !has_trees.load(std::memory_order_relaxed)) {
+      has_trees.store(true, std::memory_order_relaxed);
+    }
   });
-  // Chain the per-tree tours in ascending root order.
-  const std::vector<u32> trees = prim::pack_index_if(forest.roots.size(), [&](std::size_t i) {
-    return forest.degree(forest.roots[i]) > 0;
-  });
-  tour.seg_root.resize(trees.size());
-  pram::parallel_for(0, trees.size(), [&](std::size_t i) {
-    tour.seg_root[i] = forest.roots[trees[i]];
-  });
-  const std::size_t total = 2 * (n - forest.roots.size());
-  if (total == 0) {  // no tree nodes: nothing to rank, and `pos` is all kNone
-    tour.order.clear();
-    tour.seg_start.clear();
-    return;
-  }
-  pram::parallel_for(1, trees.size(), [&](std::size_t i) {
-    succ[tail_arc(forest, tour.seg_root[i - 1])] = head_arc(forest, tour.seg_root[i]);
-  });
-  // Rank the single chained list: the head has rank total - 1, so
-  // position = total - 1 - rank.
-  const std::vector<u32> rank = prim::list_rank(succ, ranking);
-  tour.order.resize(total);
-  tour.seg_start.assign(total, 0);
-  pram::parallel_for(0, 2 * n, [&](std::size_t a) {
-    if (forest.is_root[EulerTour::arc_node(static_cast<u32>(a))]) return;
-    const u32 p = static_cast<u32>(total - 1) - rank[a];
-    tour.pos[a] = p;
-    tour.order[p] = static_cast<u32>(a);
-  });
-  pram::parallel_for(0, trees.size(), [&](std::size_t i) {
-    tour.seg_start[tour.pos[head_arc(forest, tour.seg_root[i])]] = 1;
-  });
+  arcs.ranked = has_trees.load(std::memory_order_relaxed);
+  if (arcs.ranked) arcs.pos.resize(2 * n);
+  prim::rank_orbits(arcs.succ, {}, arcs.leader, arcs.ranked ? arcs.pos : std::span<u32>{}, {});
 }
 
 }  // namespace sfcp::graph

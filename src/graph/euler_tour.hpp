@@ -1,40 +1,66 @@
 #pragma once
-// Euler tours of rooted forests (Tarjan–Vishkin [19]).
+// The Euler partition of a pseudo-forest (paper §5, after Tarjan–Vishkin
+// [19]), built once per solve for both cycle detection and tree labelling.
 //
-// Arc 2x is the down-arc (parent(x) -> x) and arc 2x+1 the up-arc
-// (x -> parent(x)) of tree node x; roots (cycle nodes) contribute no arcs.
-// The tours of all trees are chained into ONE linked list (tree after tree,
-// roots in ascending order) so that a single list-ranking pass positions
-// every arc.  Each tree's tour is one segment of the result; it is
-// balanced (one up-arc per down-arc), so a plain prefix sum of per-arc
-// +v / -v values restarts at zero at every segment start.  A solve builds
-// the tour once, inside graph::ForestContext (rooted_forest.hpp), and
-// reads levels, owning roots and root-path sums from it.
+// Every edge (x, f(x)) is doubled: arc 2x runs x -> f(x) and its buddy
+// 2x+1 runs f(x) -> x.  The out-arcs of v, in circular order, are 2v and
+// then the buddies 2p+1 of v's preimages p in ascending order; the
+// successor of an arc into v is the out-arc of v that follows the arc's
+// buddy.  The orbits of that permutation are the Euler cycles: two per
+// pseudo-tree, a forward one through the arcs 2c of its cycle nodes c and a
+// backward one through their buddies 2c+1.  A tree edge's two arcs share an
+// Euler cycle, so cycle detection reads the cycle nodes off the orbit
+// leaders (cycle_detect.hpp).
+//
+// Restricted to tree arcs, the partition is the Tarjan–Vishkin tour of
+// every tree: a tree node x is entered by its down-arc 2x+1, visits its
+// children in ascending order and leaves by its up-arc 2x.  Between two
+// consecutive cycle arcs of an Euler cycle lies a balanced run of whole
+// subtrees, all hanging from the head of the first: f(x) after arc 2x, x
+// after arc 2x+1.  So a cycle node v with cycle predecessor u has its
+// children above u in the forward cycle and those below u in the backward
+// one.  The forest context (rooted_forest.hpp) lays the ranked cycles out
+// as one tour of the whole forest and reads levels, owning roots and
+// root-path sums off it.
 
 #include <span>
 #include <vector>
 
 #include "pram/types.hpp"
-#include "prim/list_ranking.hpp"
 
 namespace sfcp::graph {
 
-struct RootedForest;
+struct EulerPartition {
+  std::vector<u32> pre_off;  ///< preimage CSR offsets (size n+1)
+  std::vector<u32> pre;      ///< each node's preimages, ascending
+  std::vector<u32> succ;     ///< Euler successor of each arc (size 2n)
+  std::vector<u32> leader;   ///< minimum arc of the arc's Euler cycle
+  /// Steps from the leader to the arc, when ranked.  The forest context
+  /// rewrites it in place as the arc's position in the forest's tour.
+  std::vector<u32> pos;
+  /// pos is set.  Ranking is skipped when every in-degree is 1: f is then
+  /// a permutation, without tree nodes.
+  bool ranked = false;
 
-struct EulerTour {
-  std::vector<u32> pos;       ///< global tour position per arc (kNone if unused)
-  std::vector<u32> order;     ///< arc at each tour position (size = 2 * #tree nodes)
-  std::vector<u8> seg_start;  ///< 1 at the first arc of each tree's tour
-  std::vector<u32> seg_root;  ///< root of each segment's tree, in tour order
+  std::span<const u32> preimages(u32 v) const {
+    return {pre.data() + pre_off[v], pre.data() + pre_off[v + 1]};
+  }
+  /// The arc before `arc` in its Euler cycle, from the successor rule run
+  /// backwards.  `f` is the function the partition was built from.
+  u32 pred(std::span<const u32> f, u32 arc) const;
 
-  static u32 down_arc(u32 x) { return 2 * x; }
-  static u32 up_arc(u32 x) { return 2 * x + 1; }
-  static u32 arc_node(u32 arc) { return arc / 2; }
-  static bool is_down(u32 arc) { return (arc & 1) == 0; }
+  static u32 up_arc(u32 x) { return 2 * x; }        ///< x -> f(x)
+  static u32 down_arc(u32 x) { return 2 * x + 1; }  ///< f(x) -> x
 };
 
-/// Builds the tour of `forest` into `tour`, reusing its vectors' capacity.
-void build_euler_tour_into(const RootedForest& forest, EulerTour& tour,
-                           prim::ListRankStrategy ranking = prim::ListRankStrategy::RulingSet);
+/// The preimage lists of f alone (pre_off, pre); leaves `ranked` false.
+void build_preimages_into(std::span<const u32> f, EulerPartition& arcs);
+
+/// The whole partition: preimages, successors, Euler-cycle leaders by
+/// ruling-set orbit ranking (prim::rank_orbits), and ranks unless f is a
+/// permutation.  O(n) expected work.  Reuses the capacity of `arcs`'
+/// vectors.  An Euler cycle's length is one more than the rank of its
+/// leader's predecessor.
+void build_euler_partition_into(std::span<const u32> f, EulerPartition& arcs);
 
 }  // namespace sfcp::graph

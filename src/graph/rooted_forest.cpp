@@ -1,108 +1,140 @@
 #include "graph/rooted_forest.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "pram/parallel_for.hpp"
-#include "prim/compact.hpp"
 #include "prim/scan.hpp"
 #include "prof/profile.hpp"
 
 namespace sfcp::graph {
 
-void build_rooted_forest_into(std::span<const u32> f, std::span<const u8> on_cycle,
-                              RootedForest& out) {
-  const std::size_t n = f.size();
-  out.parent = f;
-  out.is_root = on_cycle;
-  out.roots = prim::pack_index(on_cycle);
-  // CSR by counting: each child's fetch_add on its parent's count is its
-  // slot among the siblings, so after an exclusive scan turns counts into
-  // first slots, every child is placed with a plain store.
-  out.child_off.assign(n + 1, 0);
-  out.sibling_index.resize(n);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (on_cycle[x]) {
-      out.sibling_index[x] = 0;
-      return;
-    }
-    std::atomic_ref<u32> count(out.child_off[f[x]]);
-    out.sibling_index[x] = count.fetch_add(1, std::memory_order_relaxed);
-  });
-  out.child.resize(prim::exclusive_scan<u32>(out.child_off, out.child_off));
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!on_cycle[x]) out.child[out.child_off[f[x]] + out.sibling_index[x]] = static_cast<u32>(x);
-  });
-  // The atomics handed out slots in any order; ascending order makes the
-  // forest (and so the Euler tour) the same whatever the scheduling.
-  pram::parallel_for(0, n, [&](std::size_t p) {
-    const auto first = out.child.begin() + out.child_off[p];
-    const auto last = out.child.begin() + out.child_off[p + 1];
-    std::sort(first, last);
-    for (auto c = first; c != last; ++c) out.sibling_index[*c] = static_cast<u32>(c - first);
-  });
-}
-
 namespace {
 
-void levels_sequential(ForestContext& ctx) {
-  const RootedForest& forest = ctx.forest;
+using Arcs = EulerPartition;
+
+// Visits the tree nodes of every tree top-down, roots ascending: visit(c, v)
+// for each child c of v, after v's own visit.  Only a root has a preimage
+// that is not its child, its cycle predecessor.  The arrays are read
+// through local pointers, which stay in registers across the stack's
+// stores.
+template <typename Visit>
+void walk_trees(ForestContext& ctx, Visit&& visit) {
   std::vector<u32>& stack = ctx.scratch;
   stack.clear();
-  for (const u32 r : forest.roots) {
-    ctx.level[r] = 0;
-    ctx.root_of[r] = r;
-    stack.push_back(r);
+  const u32* off = ctx.arcs.pre_off.data();
+  const u32* pre = ctx.arcs.pre.data();
+  const std::span<const u8> is_root = ctx.is_root;
+  for (u32 r = 0; r < ctx.size(); ++r) {
+    if (!is_root[r]) continue;
+    for (u32 i = off[r]; i < off[r + 1]; ++i) {
+      const u32 c = pre[i];
+      if (is_root[c]) continue;
+      visit(c, r);
+      stack.push_back(c);
+    }
     while (!stack.empty()) {
       const u32 v = stack.back();
       stack.pop_back();
-      for (u32 i = forest.child_off[v]; i < forest.child_off[v + 1]; ++i) {
-        const u32 c = forest.child[i];
-        ctx.level[c] = ctx.level[v] + 1;
-        ctx.root_of[c] = r;
+      for (u32 i = off[v]; i < off[v + 1]; ++i) {
+        const u32 c = pre[i];
+        visit(c, v);
         stack.push_back(c);
       }
     }
   }
-  pram::charge(forest.size());
+  pram::charge(ctx.size());
 }
 
-void levels_euler(ForestContext& ctx) {
-  const RootedForest& forest = ctx.forest;
-  const EulerTour& tour = ctx.tour;
-  std::vector<u32>& pre = ctx.scratch;
-  pre.resize(tour.order.size());
-  // +1 on a down-arc, -1 (mod 2^32) on an up-arc: the prefix sum at a
-  // node's down-arc is its level.
-  pram::parallel_for(0, pre.size(), [&](std::size_t p) {
-    pre[p] = EulerTour::is_down(tour.order[p]) ? 1u : ~0u;
+void levels_sequential(ForestContext& ctx) {
+  for (u32 r = 0; r < ctx.size(); ++r) {
+    if (!ctx.is_root[r]) continue;
+    ctx.level[r] = 0;
+    ctx.root_of[r] = r;
+  }
+  walk_trees(ctx, [&](u32 c, u32 v) {
+    ctx.level[c] = ctx.level[v] + 1;
+    ctx.root_of[c] = ctx.root_of[v];
   });
-  prim::inclusive_scan<u32>(pre, pre);
-  pram::parallel_for(0, forest.size(), [&](std::size_t x) {
-    ctx.level[x] =
-        forest.is_root[x] ? 0 : pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
+}
+
+// Rotates every Euler cycle to start at its anchor (2c0 or 2c0+1, c0 the
+// leader of its cycle c) and rewrites each arc's rank in place as its tour
+// position: Euler cycle e = 2c + dir starts at the sum of the lengths
+// before it.  Each orbit leader's `succ` slot, dead since the ranking,
+// names its Euler cycle.
+void lay_out_tour(const CycleStructure& cs, ForestContext& ctx) {
+  Arcs& arcs = ctx.arcs;
+  const std::size_t cycles = 2 * cs.num_cycles();
+  ctx.scratch.resize(3 * cycles);
+  const std::span<u32> start(ctx.scratch.data(), cycles);
+  const std::span<u32> anchor(ctx.scratch.data() + cycles, cycles);
+  const std::span<u32> length(ctx.scratch.data() + 2 * cycles, cycles);
+  pram::parallel_for(0, cycles, [&](std::size_t e) {
+    const u32 a = 2 * cs.node_at(e / 2, 0) + static_cast<u32>(e % 2);
+    const u32 lead = arcs.leader[a];
+    anchor[e] = arcs.pos[a];
+    length[e] = arcs.pos[arcs.pred(ctx.parent, lead)] + 1;
+    arcs.succ[lead] = static_cast<u32>(e);
   });
-  // Owning root: the count of segment starts up to a node's down-arc is
-  // one more than its tree's segment index.
-  pram::parallel_for(0, pre.size(), [&](std::size_t p) { pre[p] = tour.seg_start[p]; });
-  prim::inclusive_scan<u32>(pre, pre);
-  pram::parallel_for(0, forest.size(), [&](std::size_t x) {
-    const u32 down = EulerTour::down_arc(static_cast<u32>(x));
-    ctx.root_of[x] =
-        forest.is_root[x] ? static_cast<u32>(x) : tour.seg_root[pre[tour.pos[down]] - 1];
+  prim::exclusive_scan<u32>(length, start);
+  pram::parallel_for(0, arcs.pos.size(), [&](std::size_t a) {
+    const u32 e = arcs.succ[arcs.leader[a]];
+    const u32 r = arcs.pos[a];
+    arcs.pos[a] = start[e] + (r >= anchor[e] ? r - anchor[e] : r + length[e] - anchor[e]);
+  });
+}
+
+// Levels and owning roots from two prefix sums over the tour, in the
+// storage of the partition's leader and succ arrays, dead since the
+// layout.  A cycle arc weighs 0 toward levels and its head minus the
+// previous cycle arc's head toward roots, so at a tree node's down-arc the
+// sums are its depth in the current run and the head the run hangs from.
+// In tour order the cycle arcs of cycle c run 2c_0, 2c_1, ..., 2c_{k-1}
+// (heads f(c_r)), then 2c_0+1, 2c_{k-1}+1, ..., 2c_1+1 (heads c_r), so the
+// previous head is c_r for 2c_r and f(c_r) for 2c_r+1; before the leader's
+// two arcs it is f of the previous cycle's leader, and c_0 itself.
+void levels_euler(const CycleStructure& cs, ForestContext& ctx) {
+  Arcs& arcs = ctx.arcs;
+  const std::span<u32> depth = arcs.leader;
+  const std::span<u32> head = arcs.succ;
+  pram::parallel_for(0, ctx.size(), [&](std::size_t xi) {
+    const u32 x = static_cast<u32>(xi);
+    const u32 up = arcs.pos[Arcs::up_arc(x)];
+    const u32 down = arcs.pos[Arcs::down_arc(x)];
+    if (!ctx.is_root[x]) {
+      depth[down] = 1;
+      depth[up] = ~0u;
+      head[down] = head[up] = 0;
+      return;
+    }
+    depth[down] = depth[up] = 0;
+    const u32 fx = ctx.parent[x];
+    if (cs.rank[x] != 0) {
+      head[up] = fx - x;
+      head[down] = x - fx;
+      return;
+    }
+    const u32 c = cs.cycle_of[x];
+    head[up] = fx - (c == 0 ? 0 : ctx.parent[cs.node_at(c - 1, 0)]);
+    head[down] = 0;
+  });
+  prim::inclusive_scan<u32>(depth, depth);
+  prim::inclusive_scan<u32>(head, head);
+  pram::parallel_for(0, ctx.size(), [&](std::size_t x) {
+    const u32 down = arcs.pos[Arcs::down_arc(static_cast<u32>(x))];
+    ctx.level[x] = ctx.is_root[x] ? 0 : depth[down];
+    ctx.root_of[x] = ctx.is_root[x] ? static_cast<u32>(x) : head[down];
   });
 }
 
 void levels_doubling(ForestContext& ctx) {
-  const RootedForest& forest = ctx.forest;
-  const std::size_t n = forest.size();
+  const std::size_t n = ctx.size();
   if (n == 0) return;
   std::vector<u32>& jump = ctx.root_of;
   std::vector<u32>& lvl = ctx.level;
   pram::parallel_for(0, n, [&](std::size_t x) {
-    jump[x] = forest.is_root[x] ? static_cast<u32>(x) : forest.parent[x];
-    lvl[x] = forest.is_root[x] ? 0 : 1;
+    jump[x] = ctx.is_root[x] ? static_cast<u32>(x) : ctx.parent[x];
+    lvl[x] = ctx.is_root[x] ? 0 : 1;
   });
   std::vector<u32> jump2(n), lvl2(n);
   const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
@@ -117,56 +149,48 @@ void levels_doubling(ForestContext& ctx) {
 }
 
 void sums_sequential(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
-  const RootedForest& forest = ctx.forest;
-  std::vector<u32>& stack = ctx.scratch;
-  stack.clear();
-  for (const u32 r : forest.roots) {
-    out[r] = vals[r];
-    stack.push_back(r);
-    while (!stack.empty()) {
-      const u32 v = stack.back();
-      stack.pop_back();
-      for (u32 i = forest.child_off[v]; i < forest.child_off[v + 1]; ++i) {
-        const u32 c = forest.child[i];
-        out[c] = out[v] + vals[c];
-        stack.push_back(c);
-      }
-    }
+  for (u32 r = 0; r < ctx.size(); ++r) {
+    if (ctx.is_root[r]) out[r] = vals[r];
   }
-  pram::charge(forest.size());
+  walk_trees(ctx, [&](u32 c, u32 v) { out[c] = out[v] + vals[c]; });
 }
 
 void sums_euler(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
-  const RootedForest& forest = ctx.forest;
-  const EulerTour& tour = ctx.tour;
-  std::vector<u32>& pre = ctx.scratch;
-  pre.resize(tour.order.size());
-  pram::parallel_for(0, pre.size(), [&](std::size_t p) {
-    const u32 arc = tour.order[p];
-    const u32 v = vals[EulerTour::arc_node(arc)];
-    pre[p] = EulerTour::is_down(arc) ? v : 0u - v;
+  const Arcs& arcs = ctx.arcs;
+  const std::size_t n = ctx.size();
+  const bool aliased = out.data() == vals.data();
+  if (!arcs.ranked) {  // no tree nodes: every path is its root alone
+    if (!aliased) pram::parallel_for(0, n, [&](std::size_t x) { out[x] = vals[x]; });
+    return;
+  }
+  // The leader array is dead since the layout; cycle arcs weigh 0.
+  const std::span<u32> prefix = ctx.arcs.leader;
+  pram::parallel_for(0, n, [&](std::size_t xi) {
+    const u32 x = static_cast<u32>(xi);
+    const u32 v = ctx.is_root[x] ? 0 : vals[x];
+    prefix[arcs.pos[Arcs::down_arc(x)]] = v;
+    prefix[arcs.pos[Arcs::up_arc(x)]] = 0u - v;
   });
-  prim::inclusive_scan<u32>(pre, pre);
-  // The prefix at a down-arc covers the path root..x *excluding* the root
-  // (roots have no arcs), so add the root's value.  Roots are written in
-  // their own round, before tree nodes read them, so `out` may alias `vals`.
-  pram::parallel_for(0, forest.roots.size(), [&](std::size_t i) {
-    out[forest.roots[i]] = vals[forest.roots[i]];
-  });
-  pram::parallel_for(0, forest.size(), [&](std::size_t x) {
-    if (forest.is_root[x]) return;
-    out[x] = out[ctx.root_of[x]] + pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
+  prim::inclusive_scan<u32>(prefix, prefix);
+  // The prefix at a down-arc covers the path below the root, so add the
+  // root's value.  Roots keep theirs, and are not written at all when `out`
+  // aliases `vals`, so every read of a root's value sees it unchanged.
+  pram::parallel_for(0, n, [&](std::size_t x) {
+    if (ctx.is_root[x]) {
+      if (!aliased) out[x] = vals[x];
+      return;
+    }
+    out[x] = vals[ctx.root_of[x]] + prefix[arcs.pos[Arcs::down_arc(static_cast<u32>(x))]];
   });
 }
 
 void sums_doubling(const ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
-  const RootedForest& forest = ctx.forest;
-  const std::size_t n = forest.size();
+  const std::size_t n = ctx.size();
   if (n == 0) return;
   std::vector<u32> jump(n), jump2(n), acc(n), acc2(n);
   pram::parallel_for(0, n, [&](std::size_t x) {
     acc[x] = vals[x];
-    jump[x] = forest.is_root[x] ? kNone : forest.parent[x];
+    jump[x] = ctx.is_root[x] ? kNone : ctx.parent[x];
   });
   const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
   for (int r = 0; r < rounds; ++r) {
@@ -185,33 +209,62 @@ void sums_doubling(const ForestContext& ctx, std::span<const u32> vals, std::spa
   pram::parallel_for(0, n, [&](std::size_t x) { out[x] = acc[x]; });
 }
 
-}  // namespace
-
-void build_forest_context_into(std::span<const u32> f, std::span<const u8> on_cycle,
-                               ForestStrategy strategy, ForestContext& ctx) {
+// `cs` is read under EulerTour only.
+void build_context(std::span<const u32> f, std::span<const u8> on_cycle, const CycleStructure* cs,
+                   ForestStrategy strategy, bool arcs_built, ForestContext& ctx) {
+  const std::size_t n = f.size();
   ctx.strategy = strategy;
-  {
-    prof::Scope scope("forest");
-    build_rooted_forest_into(f, on_cycle, ctx.forest);
+  ctx.parent = f;
+  ctx.is_root = on_cycle;
+  ctx.level.resize(n);
+  ctx.root_of.resize(n);
+  if (!arcs_built) {
+    prof::Scope scope("partition");
+    if (strategy == ForestStrategy::EulerTour) {
+      build_euler_partition_into(f, ctx.arcs);
+    } else {
+      build_preimages_into(f, ctx.arcs);
+    }
   }
-  ctx.level.resize(f.size());
-  ctx.root_of.resize(f.size());
   if (strategy == ForestStrategy::EulerTour) {
+    if (!ctx.arcs.ranked) {  // a permutation: every node is a root
+      pram::parallel_for(0, n, [&](std::size_t x) {
+        ctx.level[x] = 0;
+        ctx.root_of[x] = static_cast<u32>(x);
+      });
+      return;
+    }
     {
-      prof::Scope scope("tour");
-      build_euler_tour_into(ctx.forest, ctx.tour);
+      prof::Scope scope("layout");
+      lay_out_tour(*cs, ctx);
     }
     prof::Scope scope("levels");
-    levels_euler(ctx);
+    levels_euler(*cs, ctx);
     return;
   }
-  ctx.tour = {};
   prof::Scope scope("levels");
   if (strategy == ForestStrategy::Sequential) {
     levels_sequential(ctx);
   } else {
     levels_doubling(ctx);
   }
+}
+
+}  // namespace
+
+void build_forest_context_into(std::span<const u32> f, std::span<const u8> on_cycle,
+                               ForestStrategy strategy, ForestContext& ctx) {
+  if (strategy != ForestStrategy::EulerTour) {
+    return build_context(f, on_cycle, nullptr, strategy, false, ctx);
+  }
+  const CycleStructure cs =
+      cycle_structure_with_flags(f, on_cycle, CycleStructureStrategy::PointerJumping);
+  build_context(f, on_cycle, &cs, strategy, false, ctx);
+}
+
+void build_forest_context_into(std::span<const u32> f, const CycleStructure& cs,
+                               ForestStrategy strategy, bool arcs_built, ForestContext& ctx) {
+  build_context(f, cs.on_cycle, &cs, strategy, arcs_built, ctx);
 }
 
 void root_path_sums(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {

@@ -40,16 +40,30 @@ class ConcurrentPairMap {
   /// an adversarial key set cannot pin every session to one collision
   /// chain; stored keys and insert-or-get semantics are salt-independent,
   /// and so are all canonicalized labellings built on top.
-  explicit ConcurrentPairMap(std::size_t max_items, u64 salt = pram::session_seed())
-      : salt_(salt) {
+  explicit ConcurrentPairMap(std::size_t max_items, u64 salt = pram::session_seed()) {
+    reset(max_items, salt);
+  }
+
+  /// An empty table without slots; reset() sizes it.
+  ConcurrentPairMap() = default;
+
+  /// Empties the table and sizes it for at most `max_items` distinct keys,
+  /// with a fresh salt.  The slots are reallocated only when that changes
+  /// the capacity; otherwise clear() rewrites them in place, so a table
+  /// kept across same-sized calls skips the allocation and its page faults.
+  void reset(std::size_t max_items, u64 salt = pram::session_seed()) {
     std::size_t cap = 16;
     while (cap < 2 * max_items + 8) cap <<= 1;
-    mask_ = cap - 1;
-    slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
+    if (cap != capacity()) {
+      slots_ = std::make_unique_for_overwrite<Slot[]>(cap);
+      mask_ = cap - 1;
+    }
+    salt_ = salt;
     clear();
   }
 
-  std::size_t capacity() const noexcept { return mask_ + 1; }
+  std::size_t capacity() const noexcept { return slots_ ? mask_ + 1 : 0; }
+  std::size_t bytes() const noexcept { return capacity() * sizeof(Slot); }
 
   /// Resets all slots to empty, split over the session's pool like a
   /// parallel_for.  Like the allocation it completes, it is set-up rather

@@ -12,12 +12,13 @@
 //                     walks interleaved per lane so their cache misses
 //                     overlap), rank the contracted list, expand (O(n)
 //                     expected work)
-// The ablation bench A2 compares them.
+// The ablation bench A2 compares them; the solve itself ranks no lists.
 //
 // `rank_orbits` is the ruling-set method applied to a permutation instead of
 // a list: it gives every element its orbit's leader, its rank from the
-// leader and the orbit's length.  Cycle detection (§5) and cycle structure
-// (§3, step 1) use it.
+// leader and the orbit's length.  Cycle detection (§5) ranks the Euler
+// partition with it, which tree labelling (§4) then lays out as the
+// forest's tour, and cycle structure (§3, step 1) ranks the cycles.
 
 #include <span>
 #include <vector>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/cycle_detect.hpp"
+#include "pram/execution_context.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -99,6 +100,49 @@ TEST(CycleDetect, LargeRandomAgreement) {
   const auto ref = find_cycle_nodes(inst.f, CycleDetectStrategy::Sequential);
   EXPECT_EQ(find_cycle_nodes(inst.f, CycleDetectStrategy::FunctionPowers), ref);
   EXPECT_EQ(find_cycle_nodes(inst.f, CycleDetectStrategy::EulerTour), ref);
+}
+
+// The partition the Euler detector leaves behind: preimage lists, the arc
+// successor permutation and its inverse `pred`, and per arc its Euler
+// cycle's leader (minimum arc) and, only when f is not a permutation, its
+// rank from the leader.
+void expect_partition_consistent(const std::vector<u32>& f) {
+  const std::size_t n = f.size();
+  std::vector<u8> on_cycle;
+  graph::EulerPartition arcs;
+  graph::find_cycle_nodes_into(f, CycleDetectStrategy::EulerTour, on_cycle, arcs);
+  EXPECT_EQ(on_cycle, find_cycle_nodes(f, CycleDetectStrategy::Sequential));
+  bool permutation = true;
+  for (u32 v = 0; v < n; ++v) permutation &= arcs.preimages(v).size() == 1;
+  ASSERT_EQ(arcs.ranked, !permutation);
+  ASSERT_EQ(arcs.succ.size(), 2 * n);
+  std::vector<u8> hit(2 * n, 0);
+  for (u32 a = 0; a < 2 * n; ++a) {
+    const u32 b = arcs.succ[a];
+    ASSERT_LT(b, 2 * n);
+    EXPECT_EQ(hit[b]++, 0) << "two arcs precede arc " << b;
+    // b leaves the node a enters.
+    const u32 head = a % 2 == 0 ? f[a / 2] : a / 2;
+    const u32 tail = b % 2 == 0 ? b / 2 : f[b / 2];
+    EXPECT_EQ(tail, head) << "arc " << a;
+    EXPECT_EQ(arcs.pred(f, b), a);
+    EXPECT_EQ(arcs.leader[b], arcs.leader[a]);
+    EXPECT_LE(arcs.leader[a], a);
+    if (!arcs.ranked) continue;
+    EXPECT_EQ(arcs.pos[b], arcs.leader[b] == b ? 0 : arcs.pos[a] + 1) << "arc " << a;
+  }
+}
+
+TEST(CycleDetect, EulerPartitionIsRankedUnlessPermutation) {
+  util::Rng rng(131);
+  expect_partition_consistent({0});
+  expect_partition_consistent({1, 0});
+  expect_partition_consistent({0, 0, 1});
+  expect_partition_consistent(util::random_function(3000, 3, rng).f);
+  expect_partition_consistent(util::random_permutation(3000, 3, rng).f);
+  const pram::ScopedContext pooled(pram::ExecutionContext{}.with_threads(2).with_grain(64));
+  expect_partition_consistent(util::random_function(5000, 3, rng).f);
+  expect_partition_consistent(util::long_tail(5000, 4, 2, rng).f);
 }
 
 }  // namespace

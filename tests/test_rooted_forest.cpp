@@ -1,11 +1,13 @@
-// Unit tests for rooted-forest construction and the forest context: levels,
-// owning roots and root-path sums across the three strategies.
+// Unit tests for the forest context: children lists (the Euler partition's
+// preimage lists), levels, owning roots and root-path sums across the three
+// strategies, including the solve's hand-over of the detector's partition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
 #include <vector>
 
+#include "graph/cycle_detect.hpp"
 #include "graph/cycle_structure.hpp"
 #include "graph/rooted_forest.hpp"
 #include "pram/execution_context.hpp"
@@ -16,12 +18,11 @@ namespace sfcp {
 namespace {
 
 using graph::build_forest_context_into;
-using graph::build_rooted_forest_into;
 using graph::cycle_structure;
+using graph::EulerPartition;
 using graph::ForestContext;
 using graph::ForestStrategy;
 using graph::root_path_sums;
-using graph::RootedForest;
 
 const auto kAll = {ForestStrategy::Sequential, ForestStrategy::EulerTour,
                    ForestStrategy::AncestorDoubling};
@@ -44,26 +45,21 @@ std::vector<u32> sums_of(ForestContext& ctx, std::span<const u32> vals) {
   return out;
 }
 
+// Every node sits in the preimage list of its image, once; lists ascend.
 void expect_children_ascending_and_complete(const graph::Instance& inst) {
-  const auto cs = cycles_of(inst);
-  RootedForest forest;
-  build_rooted_forest_into(inst.f, cs.on_cycle, forest);
-  std::size_t total_children = 0;
-  for (u32 v = 0; v < forest.size(); ++v) {
-    for (u32 i = forest.child_off[v]; i < forest.child_off[v + 1]; ++i) {
-      const u32 c = forest.child[i];
-      EXPECT_EQ(inst.f[c], v);
-      EXPECT_FALSE(forest.is_root[c]);
-      if (i + 1 < forest.child_off[v + 1]) {
-        EXPECT_LT(c, forest.child[i + 1]);
-      }
-      EXPECT_EQ(forest.sibling_index[c], i - forest.child_off[v]);
-      ++total_children;
+  EulerPartition arcs;
+  graph::build_preimages_into(inst.f, arcs);
+  ASSERT_EQ(arcs.pre_off.size(), inst.size() + 1);
+  std::vector<u32> seen(inst.size(), 0);
+  for (u32 v = 0; v < inst.size(); ++v) {
+    const auto pre = arcs.preimages(v);
+    EXPECT_TRUE(std::is_sorted(pre.begin(), pre.end())) << "node " << v;
+    for (const u32 x : pre) {
+      EXPECT_EQ(inst.f[x], v);
+      ++seen[x];
     }
   }
-  std::size_t tree_nodes = 0;
-  for (u32 x = 0; x < forest.size(); ++x) tree_nodes += forest.is_root[x] ? 0 : 1;
-  EXPECT_EQ(total_children, tree_nodes);
+  EXPECT_TRUE(std::all_of(seen.begin(), seen.end(), [](u32 k) { return k == 1; }));
 }
 
 TEST(RootedForestBuild, ChildrenAscendingAndComplete) {
@@ -71,7 +67,7 @@ TEST(RootedForestBuild, ChildrenAscendingAndComplete) {
   expect_children_ascending_and_complete(util::random_function(2000, 3, rng));
 }
 
-// Children are placed by atomic counters, so on the pool siblings arrive
+// Preimages are placed by atomic counters, so on the pool siblings arrive
 // in scheduling order; the build must still sort them.
 TEST(RootedForestBuild, ChildrenAscendingOnThePool) {
   util::Rng rng(803);
@@ -121,13 +117,12 @@ TEST(RootPathSums, UnitValuesGiveLevelPlusRootValue) {
   const auto inst = util::random_function(1500, 3, rng);
   const auto cs = cycles_of(inst);
   const auto lv = context_of(inst, cs, ForestStrategy::Sequential);
-  const auto& forest = lv.forest;
-  std::vector<u32> ones(forest.size(), 1);
+  std::vector<u32> ones(inst.size(), 1);
   for (auto strat : kAll) {
     auto ctx = context_of(inst, cs, strat);
     const auto sums = sums_of(ctx, ones);
-    for (u32 x = 0; x < forest.size(); ++x) {
-      if (forest.is_root[x]) {
+    for (u32 x = 0; x < inst.size(); ++x) {
+      if (cs.on_cycle[x]) {
         EXPECT_EQ(sums[x], 1u) << "root " << x;
       } else {
         EXPECT_EQ(sums[x], lv.level[x] + 1) << "node " << x;
@@ -182,22 +177,35 @@ TEST(RootPathSums, AliasedOutputMatchesSeparateOutput) {
   }
 }
 
-// Runs every strategy through the one context `ctx` and compares levels,
-// owning roots and path sums with a fresh Sequential context.
+// Runs every strategy through the one context `ctx`, building the Euler
+// partition itself and taking the detector's, and compares levels, owning
+// roots and path sums with a fresh Sequential context.
 void expect_context_matches_sequential(const graph::Instance& inst, ForestContext& ctx) {
   const auto cs = cycles_of(inst);
   auto ref = context_of(inst, cs, ForestStrategy::Sequential);
   std::vector<u32> vals(inst.size());
   for (std::size_t x = 0; x < vals.size(); ++x) vals[x] = static_cast<u32>(x % 3);
   const auto ref_sums = sums_of(ref, vals);
-  const std::size_t tree_nodes = inst.size() - cs.cycle_nodes.size();
+  const bool trees = cs.cycle_nodes.size() < inst.size();
   for (auto strat : kAll) {
-    build_forest_context_into(inst.f, cs.on_cycle, strat, ctx);
-    EXPECT_EQ(ctx.level, ref.level) << static_cast<int>(strat);
-    EXPECT_EQ(ctx.root_of, ref.root_of) << static_cast<int>(strat);
-    EXPECT_EQ(sums_of(ctx, vals), ref_sums) << static_cast<int>(strat);
-    EXPECT_EQ(ctx.forest.child.size(), tree_nodes);
-    EXPECT_EQ(ctx.tour.order.size(), strat == ForestStrategy::EulerTour ? 2 * tree_nodes : 0);
+    for (const bool handed_over : {false, true}) {
+      if (handed_over) {
+        std::vector<u8> on_cycle;
+        graph::find_cycle_nodes_into(inst.f, graph::CycleDetectStrategy::EulerTour, on_cycle,
+                                     ctx.arcs);
+        ASSERT_EQ(on_cycle, cs.on_cycle);
+      }
+      build_forest_context_into(inst.f, cs, strat, handed_over, ctx);
+      const auto label = ::testing::Message() << "strategy " << static_cast<int>(strat)
+                                              << (handed_over ? ", handed over" : "");
+      EXPECT_EQ(ctx.level, ref.level) << label;
+      EXPECT_EQ(ctx.root_of, ref.root_of) << label;
+      EXPECT_EQ(sums_of(ctx, vals), ref_sums) << label;
+      EXPECT_EQ(ctx.arcs.pre.size(), inst.size());
+      const bool tour = strat == ForestStrategy::EulerTour && trees;
+      EXPECT_EQ(ctx.arcs.ranked, tour || (handed_over && trees)) << label;
+      if (tour) EXPECT_EQ(ctx.arcs.pos.size(), 2 * inst.size()) << label;
+    }
   }
 }
 
@@ -209,9 +217,9 @@ TEST(ForestContextTest, AllCycleInstanceHasEmptyForestAndTour) {
   const auto cs = cycles_of(inst);
   for (auto strat : kAll) {
     build_forest_context_into(inst.f, cs.on_cycle, strat, ctx);
-    EXPECT_TRUE(ctx.forest.child.empty());
-    EXPECT_TRUE(ctx.tour.order.empty());
+    EXPECT_FALSE(ctx.arcs.ranked);
     for (u32 x = 0; x < inst.size(); ++x) {
+      EXPECT_EQ(ctx.arcs.preimages(x).size(), 1u);
       EXPECT_EQ(ctx.level[x], 0u);
       EXPECT_EQ(ctx.root_of[x], x);
     }
@@ -240,6 +248,100 @@ TEST(ForestContextTest, ReusedAcrossLargeSmallLarge) {
   expect_context_matches_sequential(large, ctx);
   expect_context_matches_sequential(small, ctx);
   expect_context_matches_sequential(large, ctx);
+}
+
+// Instances built from a list of f values, with B = x mod 2.
+graph::Instance instance_of(std::vector<u32> f) {
+  graph::Instance inst;
+  inst.b.resize(f.size());
+  for (std::size_t x = 0; x < f.size(); ++x) inst.b[x] = static_cast<u32>(x % 2);
+  inst.f = std::move(f);
+  return inst;
+}
+
+TEST(ForestContextTest, SelfLoopRootsAndTwoCycles) {
+  // Self-loops 0 and 1, 2-cycles 2 <-> 3 and 4 <-> 5 (5 childless).
+  const auto inst = instance_of({0, 1, 3, 2, 5, 4, 0, 6, 1, 2, 3, 3, 9, 4});
+  ForestContext ctx;
+  expect_context_matches_sequential(inst, ctx);
+  EXPECT_EQ(ctx.level[12], 2u);
+  EXPECT_EQ(ctx.root_of[12], 2u);
+}
+
+TEST(ForestContextTest, CyclePredecessorSmallestOrLargestPreimage) {
+  // Cycle 5 -> 6 -> 7 -> 5.  6's cycle predecessor 5 is below its children
+  // 8 and 9, 7's predecessor 6 above its children 1 and 2, and 5's
+  // predecessor 7 between its children 3 and 10.
+  const auto inst = instance_of({1, 7, 7, 5, 8, 6, 7, 5, 6, 6, 5});
+  ForestContext ctx;
+  expect_context_matches_sequential(inst, ctx);
+  const auto cs = cycles_of(inst);
+  build_forest_context_into(inst.f, cs, ForestStrategy::EulerTour, false, ctx);
+  // Children above the predecessor lie in the forward Euler cycle, which
+  // ends where the backward one starts, at the leader 5's buddy arc.
+  const std::vector<u32>& pos = ctx.arcs.pos;
+  const u32 backward = pos[EulerPartition::down_arc(5)];
+  for (const u32 x : {4u, 8u, 9u, 10u}) EXPECT_LT(pos[EulerPartition::down_arc(x)], backward);
+  for (const u32 x : {0u, 1u, 2u, 3u}) EXPECT_GT(pos[EulerPartition::down_arc(x)], backward);
+}
+
+TEST(ForestContextTest, TreeOnEveryCycleNode) {
+  // A 50-cycle; cycle node v carries a chain v <- v+50 <- v+100 and a leaf
+  // v+150, so each has children on both sides of its cycle predecessor or
+  // on one.
+  constexpr u32 k = 50;
+  std::vector<u32> f(4 * k);
+  for (u32 v = 0; v < k; ++v) {
+    f[v] = (v + 1) % k;
+    f[v + k] = v;
+    f[v + 2 * k] = v + k;
+    f[v + 3 * k] = v;
+  }
+  const auto inst = instance_of(std::move(f));
+  ForestContext ctx;
+  expect_context_matches_sequential(inst, ctx);
+  EXPECT_EQ(*std::max_element(ctx.level.begin(), ctx.level.end()), 2u);
+}
+
+TEST(ForestContextTest, DeepChainOf65536) {
+  // Both orientations: ids falling toward the root, and rising.
+  constexpr u32 n = 1u << 16;
+  std::vector<u32> down(n), up(n);
+  for (u32 x = 0; x < n; ++x) {
+    down[x] = x == 0 ? 0 : x - 1;
+    up[x] = x + 1 == n ? x : x + 1;
+  }
+  for (auto* f : {&down, &up}) {
+    const auto inst = instance_of(*f);
+    ForestContext ctx;
+    expect_context_matches_sequential(inst, ctx);
+    EXPECT_EQ(*std::max_element(ctx.level.begin(), ctx.level.end()), n - 1);
+  }
+}
+
+TEST(ForestContextTest, ManyComponents) {
+  // 1000 components of 5 nodes, each a random function on its block.
+  util::Rng rng(853);
+  std::vector<u32> f(5000);
+  for (u32 x = 0; x < f.size(); ++x) f[x] = x / 5 * 5 + static_cast<u32>(rng.below(5));
+  const auto inst = instance_of(std::move(f));
+  ForestContext ctx;
+  expect_context_matches_sequential(inst, ctx);
+  EXPECT_GE(cycles_of(inst).num_cycles(), 1000u);
+}
+
+TEST(ForestContextTest, ReusedAcrossSizesOnThePool) {
+  util::Rng rng(857);
+  const auto large = util::random_function(6000, 3, rng);
+  const auto small = util::random_function(40, 3, rng);
+  for (const int threads : {1, 2, 4}) {
+    const pram::ScopedContext pooled(
+        pram::ExecutionContext{}.with_threads(threads).with_grain(64));
+    ForestContext ctx;
+    expect_context_matches_sequential(large, ctx);
+    expect_context_matches_sequential(small, ctx);
+    expect_context_matches_sequential(large, ctx);
+  }
 }
 
 }  // namespace

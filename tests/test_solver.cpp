@@ -112,7 +112,9 @@ TEST(Solver, WorkspaceSurvivesShrinkingAndGrowingInstances) {
 // The same reuse on the pooled path: at grain 64 every round of these
 // instances splits across both lanes.  Labels must stay byte-identical to a
 // sequential solve through a smaller, a tree-less and a deep instance, and
-// solving the first instance again must reuse the forest context's buffers.
+// solving the first instance again must reuse the buffers of the forest
+// context and of the Euler partition it holds, whether the cycle detector
+// built that partition or the tree labelling did.
 TEST(Solver, PooledWorkspaceReusesForestContextAcrossInstances) {
   util::Rng rng(0xF0E57);
   const graph::Instance tree_heavy = util::random_function(5000, 3, rng);
@@ -122,10 +124,10 @@ TEST(Solver, PooledWorkspaceReusesForestContextAcrossInstances) {
   for (const auto& inst : insts) want.push_back(core::solve(inst, core::Options::sequential()).q);
   const auto buffers = [](const core::Solver& solver) {
     const graph::ForestContext& fc = solver.workspace().tl.forest;
-    return std::vector<const void*>{fc.forest.child_off.data(), fc.forest.child.data(),
-                                    fc.forest.sibling_index.data(), fc.tour.pos.data(),
-                                    fc.tour.order.data(), fc.tour.seg_start.data(),
-                                    fc.level.data(), fc.root_of.data()};
+    const graph::EulerPartition& arcs = fc.arcs;
+    return std::vector<const void*>{arcs.pre_off.data(), arcs.pre.data(), arcs.succ.data(),
+                                    arcs.leader.data(),  arcs.pos.data(), fc.level.data(),
+                                    fc.root_of.data()};
   };
   for (const auto& entry : sfcp::registry().all()) {
     core::Solver solver(entry.options, pram::ExecutionContext{}.with_threads(2).with_grain(64));
@@ -136,6 +138,48 @@ TEST(Solver, PooledWorkspaceReusesForestContextAcrossInstances) {
       if (i == 0) first = buffers(solver);
     }
     EXPECT_EQ(buffers(solver), first) << "strategy " << entry.name;
+  }
+}
+
+// The forest shapes the Euler partition's layout distinguishes: self-loop
+// roots and 2-cycles, cycle nodes whose cycle predecessor is their smallest
+// or largest preimage (one of the two runs empty), a tree on every cycle
+// node, a deep chain and many components.  Every registry strategy, at 1, 2
+// and 4 threads, must label them byte for byte as the sequential solve;
+// under `seq-*` and `powers-*` the tree labelling builds the partition
+// itself.
+TEST(Solver, RegistryMatchesSequentialOnEulerPartitionShapes) {
+  const auto instance_of = [](std::vector<u32> f) {
+    graph::Instance inst;
+    for (std::size_t x = 0; x < f.size(); ++x) inst.b.push_back(static_cast<u32>(x % 3 % 2));
+    inst.f = std::move(f);
+    return inst;
+  };
+  std::vector<graph::Instance> insts{
+      instance_of({0, 1, 3, 2, 5, 4, 0, 6, 1, 2, 3, 3, 9, 4}),
+      instance_of({1, 7, 7, 5, 8, 6, 7, 5, 6, 6, 5}),
+  };
+  std::vector<u32> ring(200), chain(1u << 14), blocks(3000);
+  for (u32 v = 0; v < 50; ++v) {
+    ring[v] = (v + 1) % 50;
+    ring[v + 50] = v;
+    ring[v + 100] = v + 50;
+    ring[v + 150] = v;
+  }
+  for (u32 x = 0; x < chain.size(); ++x) chain[x] = x == 0 ? 0 : x - 1;
+  util::Rng rng(0x5A9E);
+  for (u32 x = 0; x < blocks.size(); ++x) blocks[x] = x / 5 * 5 + static_cast<u32>(rng.below(5));
+  for (auto* f : {&ring, &chain, &blocks}) insts.push_back(instance_of(std::move(*f)));
+  for (const auto& inst : insts) {
+    const auto want = core::solve(inst, core::Options::sequential()).q;
+    for (const int threads : {1, 2, 4}) {
+      for (const auto& entry : sfcp::registry().all()) {
+        core::Solver solver(entry.options,
+                            pram::ExecutionContext{}.with_threads(threads).with_grain(64));
+        ASSERT_EQ(solver.solve(inst).q, want)
+            << "strategy " << entry.name << ", " << threads << " threads, n=" << inst.size();
+      }
+    }
   }
 }
 
