@@ -1,6 +1,7 @@
 // E3 — minimal starting point: Booth / Duval sequential references vs the
 // paper's simple (O(n log n) ops) and efficient (O(n log log n) ops)
-// parallel algorithms (Lemma 3.7).
+// parallel algorithms (Lemma 3.7), and the one-pass period-and-m.s.p.
+// kernel cycle labelling runs per cycle when there are many.
 #include <benchmark/benchmark.h>
 
 #include "strings/msp.hpp"
@@ -35,6 +36,19 @@ void BM_Msp(benchmark::State& state) {
 
 BENCHMARK(BM_Msp<strings::MspStrategy::Booth>)
     ->ArgsProduct({{1 << 12, 1 << 16, 1 << 20}, {0, 1, 2}});
+
+void BM_PeriodAndMsp(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const int kind = static_cast<int>(state.range(1));
+  const auto s = input_for(n, kind);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(strings::period_and_msp(s));
+  }
+  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(n));
+  state.SetLabel(kind == 0 ? "large_sigma" : kind == 1 ? "binary" : "runs");
+}
+BENCHMARK(BM_PeriodAndMsp)->ArgsProduct({{1 << 12, 1 << 16, 1 << 20}, {0, 1, 2}});
+
 BENCHMARK(BM_Msp<strings::MspStrategy::Duval>)
     ->ArgsProduct({{1 << 12, 1 << 16, 1 << 20}, {0, 1, 2}});
 BENCHMARK(BM_Msp<strings::MspStrategy::Simple>)

@@ -9,6 +9,7 @@
 #include "prim/integer_sort.hpp"
 #include "prim/rename.hpp"
 #include "prim/scan.hpp"
+#include "prof/profile.hpp"
 #include "strings/period.hpp"
 
 namespace sfcp::core {
@@ -57,64 +58,65 @@ std::vector<u32> partition_equal_strings(std::span<const u32> flat, std::size_t 
 
 namespace {
 
-// Per-cycle period + m.s.p. of the period prefix, and the rotated reduced
-// string laid out in a CSR array.
+// Per-cycle period and m.s.p. of the period prefix, and each cycle's
+// B-label string laid out as the cycle nodes are (cycle c at
+// cs.cycle_offset[c]), its period prefix rotated to start at the m.s.p.
+// The rest of the string holds more copies of the period, so `data` has the
+// same symbols as the reduced strings alone.
 struct ReducedCycles {
-  std::vector<u32> period;   // per cycle
-  std::vector<u32> msp;      // per cycle, in [0, period)
-  std::vector<u32> data;     // reduced strings, concatenated per cycle
-  std::vector<u32> offsets;  // CSR (size k+1)
+  std::vector<u32> period;  // per cycle
+  std::vector<u32> msp;     // per cycle, in [0, period)
+  std::vector<u32> data;    // per cycle node
 };
+
+// Records cycle c's period p and m.s.p. j0, and rotates its period prefix
+// in place to start at j0.
+void reduce_one(const graph::CycleStructure& cs, std::size_t c, u32 p, u32 j0,
+                ReducedCycles& red) {
+  const auto first = red.data.begin() + cs.cycle_offset[c];
+  std::rotate(first, first + j0, first + p);
+  red.period[c] = p;
+  red.msp[c] = j0;
+}
 
 ReducedCycles reduce_cycles(const graph::Instance& inst, const graph::CycleStructure& cs,
                             const CycleLabelingOptions& opt) {
   const std::size_t k = cs.num_cycles();
+  const std::size_t m = cs.cycle_nodes.size();
   ReducedCycles red;
-  red.period.assign(k, 0);
-  red.msp.assign(k, 0);
-  // Gather each cycle's B-label string (cycles are stored contiguously by
-  // rank, so this is one parallel gather).
-  std::vector<u32> labels(cs.cycle_nodes.size());
-  pram::parallel_for(0, labels.size(), [&](std::size_t i) {
-    labels[i] = inst.b[cs.cycle_nodes[i]];
-  });
-  // Period and m.s.p. per cycle.  Many small cycles -> parallelize across
-  // cycles with sequential kernels; few big cycles -> the configured
-  // parallel kernels operate within the cycle.
-  const bool outer_parallel = k >= static_cast<std::size_t>(pram::threads()) * 2;
-  auto process = [&](std::size_t c) {
-    const u32 off = cs.cycle_offset[c];
-    const u32 len = cs.cycle_offset[c + 1] - off;
-    const std::span<const u32> s{labels.data() + off, len};
-    const u32 p = (opt.parallel_period && !outer_parallel)
-                      ? strings::smallest_period_parallel(s)
-                      : strings::smallest_period_seq(s);
-    const std::span<const u32> prefix = s.subspan(0, p);
-    const strings::MspStrategy msp_strategy =
-        outer_parallel ? strings::MspStrategy::Booth : opt.msp;
-    const u32 j0 = strings::minimal_starting_point(prefix, msp_strategy);
-    red.period[c] = p;
-    red.msp[c] = j0;
-  };
-  if (outer_parallel) {
-    pram::parallel_for(0, k, process);
-  } else {
-    for (std::size_t c = 0; c < k; ++c) process(c);
+  red.period.resize(k);
+  red.msp.resize(k);
+  red.data.resize(m);
+  const auto gather = [&](std::size_t i) { red.data[i] = inst.b[cs.cycle_nodes[i]]; };
+  prof::Scope scope("period_msp");
+  if (k >= static_cast<std::size_t>(pram::threads()) * 2) {
+    // Many cycles: one sequential pass per cycle finds its period and m.s.p.
+    // together.  Lanes are balanced by node count, not cycle count: each
+    // block of the cycle-node range takes the cycles that start inside it
+    // and gathers their labels while it reduces them.
+    const std::span<const u32> offsets(cs.cycle_offset.data(), k);
+    pram::parallel_blocks(m, [&](int, std::size_t lo, std::size_t hi) {
+      std::size_t c = static_cast<std::size_t>(
+          std::lower_bound(offsets.begin(), offsets.end(), lo) - offsets.begin());
+      for (; c < k && offsets[c] < hi; ++c) {
+        const u32 off = offsets[c];
+        const u32 len = cs.cycle_offset[c + 1] - off;
+        for (u32 i = off; i < off + len; ++i) gather(i);
+        const strings::PeriodMsp pm = strings::period_and_msp({red.data.data() + off, len});
+        reduce_one(cs, c, pm.period, pm.msp, red);
+      }
+    });
+    return red;
   }
-  // Reduced strings, rotated to start at the m.s.p.
-  red.offsets.assign(k + 1, 0);
-  prim::exclusive_scan<u32>(red.period, std::span<u32>(red.offsets).first(k));
-  red.offsets[k] = red.offsets.empty() ? 0 : (k ? red.offsets[k - 1] + red.period[k - 1] : 0);
-  red.data.assign(red.offsets[k], 0);
-  pram::parallel_for(0, k, [&](std::size_t c) {
+  // Few big cycles: the configured parallel kernels work within each one.
+  pram::parallel_for(0, m, gather);
+  for (std::size_t c = 0; c < k; ++c) {
     const u32 off = cs.cycle_offset[c];
-    const u32 p = red.period[c];
-    const u32 j0 = red.msp[c];
-    const u32 base = red.offsets[c];
-    for (u32 t = 0; t < p; ++t) {
-      red.data[base + t] = labels[off + (j0 + t) % p];
-    }
-  });
+    const std::span<const u32> s{red.data.data() + off, cs.cycle_offset[c + 1] - off};
+    const u32 p = opt.parallel_period ? strings::smallest_period_parallel(s)
+                                      : strings::smallest_period_seq(s);
+    reduce_one(cs, c, p, strings::minimal_starting_point(s.first(p), opt.msp), red);
+  }
   return red;
 }
 
@@ -186,7 +188,7 @@ void label_cycles_into(const graph::Instance& inst, const graph::CycleStructure&
       std::vector<u32> flat(kk * L, blank);
       pram::parallel_for(0, kk, [&](std::size_t t) {
         const u32 c = by_period[run_begin + t];
-        for (u32 i = 0; i < p; ++i) flat[t * L + i] = data[red.offsets[c] + i];
+        for (u32 i = 0; i < p; ++i) flat[t * L + i] = data[cs.cycle_offset[c] + i];
       });
       const std::vector<u32> group_rep =
           partition_equal_strings(flat, kk, L, opt.partition_backend);
@@ -220,12 +222,17 @@ void label_cycles_into(const graph::Instance& inst, const graph::CycleStructure&
   pram::charge(2 * k);
 
   // Q-label every cycle node: q = base(class) + (rank - msp) mod period.
+  // The period divides the length, so (rank - msp) mod length needs no
+  // division, and only a repeating cycle takes the remainder by its period.
   pram::parallel_for(0, n, [&](std::size_t x) {
     if (!cs.on_cycle[x]) return;
     const u32 c = cs.cycle_of[x];
     const u32 p = red.period[c];
     const u32 len = cs.length[x];
-    const u32 shifted = (cs.rank[x] + len - red.msp[c]) % p;
+    const u32 r = cs.rank[x];
+    const u32 j0 = red.msp[c];
+    u32 shifted = r >= j0 ? r - j0 : r + len - j0;
+    if (p != len) shifted %= p;
     out.q[x] = base[pair_label[c]] + shifted;
   });
 }

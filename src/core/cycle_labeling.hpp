@@ -6,6 +6,13 @@
 // with identical reduced strings (= cyclic-shift-equivalent label strings)
 // with Algorithm "partition" (§3.2).  Nodes of equivalent cycles whose
 // ranks agree modulo p (relative to the m.s.p.) share one Q-label.
+//
+// With many cycles (at least two per thread) each cycle's period and
+// m.s.p. come from one sequential pass (strings::period_and_msp), and the
+// cycles are balanced across lanes by node count: each block of the
+// cycle-node range takes the cycles that start inside it.  With few big
+// cycles the configured kernels (CycleLabelingOptions) run within each
+// cycle: the paper's parallel period and m.s.p. algorithms.
 
 #include <span>
 #include <vector>

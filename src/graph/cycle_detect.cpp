@@ -1,5 +1,6 @@
 #include "graph/cycle_detect.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "graph/functional_graph.hpp"
@@ -46,11 +47,15 @@ void detect_powers(std::span<const u32> f, std::vector<u8>& on_cycle) {
 // and a tree edge's in the same one (euler_tour.hpp).  Both endpoints of a
 // cycle edge are cycle nodes, and every cycle node has exactly one outgoing
 // cycle edge, so x is a cycle node iff its arcs 2x and 2x+1 have different
-// Euler-cycle leaders.
+// Euler-cycle leaders.  A permutation has every node on a cycle, and its
+// partition stops at the preimage lists.
 void detect_euler(std::span<const u32> f, std::vector<u8>& on_cycle, EulerPartition& arcs) {
   const std::size_t n = f.size();
   on_cycle.resize(n);
-  build_euler_partition_into(f, arcs);
+  if (!build_euler_partition_unless_permutation(f, arcs)) {
+    std::fill(on_cycle.begin(), on_cycle.end(), u8{1});
+    return;
+  }
   pram::parallel_for(0, n, [&](std::size_t xi) {
     const u32 x = static_cast<u32>(xi);
     on_cycle[x] =

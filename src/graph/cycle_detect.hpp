@@ -17,7 +17,9 @@
 //                      Euler cycles by ruling-set orbit ranking), O(n)
 //                      expected work.  A solve keeps the partition: tree
 //                      labelling reads the forest's tour, levels and roots
-//                      off the same ranked arcs.
+//                      off the same ranked arcs.  On a permutation every
+//                      node is a cycle node and the partition stops at the
+//                      preimage lists, as no tree needs a tour.
 
 #include <span>
 #include <vector>
@@ -39,7 +41,9 @@ void find_cycle_nodes_into(std::span<const u32> f, CycleDetectStrategy strategy,
                            std::vector<u8>& on_cycle);
 
 /// As above, and under EulerTour leaves f's Euler partition in `arcs` for
-/// the forest context (rooted_forest.hpp); the other strategies leave
+/// the forest context (rooted_forest.hpp): for a permutation its ascending
+/// preimage lists only, with `ranked` false and succ and leader empty
+/// (build_euler_partition_unless_permutation).  The other strategies leave
 /// `arcs` untouched.
 void find_cycle_nodes_into(std::span<const u32> f, CycleDetectStrategy strategy,
                            std::vector<u8>& on_cycle, EulerPartition& arcs);

@@ -20,14 +20,34 @@ using Arcs = EulerPartition;
 // index[x] = position of x within pre[f(x)].  Placing through the counted
 // slot, not a second fetch_add, keeps the placement's random stores out
 // from behind locked instructions.
-void count_preimages(std::span<const u32> f, EulerPartition& arcs, std::span<u32> index) {
+//
+// A nonzero slot means a node with two preimages.  When there is none, f is
+// a permutation: every list is the node's one preimage and every slot 0, so
+// the lists are written directly, with no scan and no sort.  The flag is
+// stored only while still clear, so its line stays shared.  Returns whether
+// f is a permutation.
+bool count_preimages(std::span<const u32> f, EulerPartition& arcs, std::span<u32> index) {
   const std::size_t n = f.size();
   arcs.pre_off.assign(n + 1, 0);
+  std::atomic<bool> repeated{false};
   pram::parallel_for(0, n, [&](std::size_t x) {
-    index[x] = std::atomic_ref<u32>(arcs.pre_off[f[x]]).fetch_add(1, std::memory_order_relaxed);
+    const u32 slot =
+        std::atomic_ref<u32>(arcs.pre_off[f[x]]).fetch_add(1, std::memory_order_relaxed);
+    index[x] = slot;
+    if (slot != 0 && !repeated.load(std::memory_order_relaxed)) {
+      repeated.store(true, std::memory_order_relaxed);
+    }
   });
-  prim::exclusive_scan<u32>(arcs.pre_off, arcs.pre_off);  // pre_off[n] = n
   arcs.pre.resize(n);
+  if (!repeated.load(std::memory_order_relaxed)) {
+    pram::parallel_for(0, n, [&](std::size_t x) {
+      arcs.pre_off[x] = static_cast<u32>(x);
+      arcs.pre[f[x]] = static_cast<u32>(x);
+    });
+    arcs.pre_off[n] = static_cast<u32>(n);
+    return true;
+  }
+  prim::exclusive_scan<u32>(arcs.pre_off, arcs.pre_off);  // pre_off[n] = n
   pram::parallel_for(0, n, [&](std::size_t x) {
     arcs.pre[arcs.pre_off[f[x]] + index[x]] = static_cast<u32>(x);
   });
@@ -37,6 +57,42 @@ void count_preimages(std::span<const u32> f, EulerPartition& arcs, std::span<u32
     std::sort(first, last);
     for (auto x = first; x != last; ++x) index[*x] = static_cast<u32>(x - first);
   });
+  return false;
+}
+
+// Preimages, then successors and orbits unless `stop_at_permutation` and f
+// is a permutation.  Returns whether the successors were built.
+bool build_partition(std::span<const u32> f, EulerPartition& arcs, bool stop_at_permutation) {
+  const std::size_t n = f.size();
+  arcs.ranked = false;
+  // `leader` is written last, by the ranking, so it holds the slot indices
+  // until then.
+  arcs.leader.resize(2 * n);
+  const std::span<u32> index(arcs.leader.data(), n);
+  const bool permutation = count_preimages(f, arcs, index);
+  if (permutation && stop_at_permutation) {
+    arcs.succ.clear();
+    arcs.leader.clear();
+    return false;
+  }
+  // Successors (paper §5): after arc 2x into v = f(x) comes the buddy of
+  // x's next sibling, or 2v after the last; after the buddy 2x+1 into x
+  // comes the buddy of x's first preimage, or 2x when x has none.
+  arcs.succ.resize(2 * n);
+  pram::parallel_for(0, n, [&](std::size_t xi) {
+    const u32 x = static_cast<u32>(xi);
+    const u32 v = f[x];
+    const u32 next = arcs.pre_off[v] + index[x] + 1;
+    arcs.succ[Arcs::up_arc(x)] =
+        next < arcs.pre_off[v + 1] ? Arcs::down_arc(arcs.pre[next]) : Arcs::up_arc(v);
+    arcs.succ[Arcs::down_arc(x)] = arcs.pre_off[x + 1] > arcs.pre_off[x]
+                                       ? Arcs::down_arc(arcs.pre[arcs.pre_off[x]])
+                                       : Arcs::up_arc(x);
+  });
+  arcs.ranked = !permutation;
+  if (arcs.ranked) arcs.pos.resize(2 * n);
+  prim::rank_orbits(arcs.succ, {}, arcs.leader, arcs.ranked ? arcs.pos : std::span<u32>{}, {});
+  return true;
 }
 
 }  // namespace
@@ -58,36 +114,11 @@ void build_preimages_into(std::span<const u32> f, EulerPartition& arcs) {
 }
 
 void build_euler_partition_into(std::span<const u32> f, EulerPartition& arcs) {
-  const std::size_t n = f.size();
-  arcs.ranked = false;
-  // `leader` is written last, by the ranking, so it holds the slot indices
-  // until then.
-  arcs.leader.resize(2 * n);
-  const std::span<u32> index(arcs.leader.data(), n);
-  count_preimages(f, arcs, index);
-  // Successors (paper §5): after arc 2x into v = f(x) comes the buddy of
-  // x's next sibling, or 2v after the last; after the buddy 2x+1 into x
-  // comes the buddy of x's first preimage, or 2x when x has none.  A node
-  // whose in-degree is not 1 rules out a permutation; the flag is stored
-  // only while still clear, so its line stays shared.
-  std::atomic<bool> has_trees{false};
-  arcs.succ.resize(2 * n);
-  pram::parallel_for(0, n, [&](std::size_t xi) {
-    const u32 x = static_cast<u32>(xi);
-    const u32 v = f[x];
-    const u32 next = arcs.pre_off[v] + index[x] + 1;
-    arcs.succ[Arcs::up_arc(x)] =
-        next < arcs.pre_off[v + 1] ? Arcs::down_arc(arcs.pre[next]) : Arcs::up_arc(v);
-    const u32 deg = arcs.pre_off[x + 1] - arcs.pre_off[x];
-    arcs.succ[Arcs::down_arc(x)] =
-        deg > 0 ? Arcs::down_arc(arcs.pre[arcs.pre_off[x]]) : Arcs::up_arc(x);
-    if (deg != 1 && !has_trees.load(std::memory_order_relaxed)) {
-      has_trees.store(true, std::memory_order_relaxed);
-    }
-  });
-  arcs.ranked = has_trees.load(std::memory_order_relaxed);
-  if (arcs.ranked) arcs.pos.resize(2 * n);
-  prim::rank_orbits(arcs.succ, {}, arcs.leader, arcs.ranked ? arcs.pos : std::span<u32>{}, {});
+  build_partition(f, arcs, false);
+}
+
+bool build_euler_partition_unless_permutation(std::span<const u32> f, EulerPartition& arcs) {
+  return build_partition(f, arcs, true);
 }
 
 }  // namespace sfcp::graph

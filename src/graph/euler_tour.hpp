@@ -22,6 +22,10 @@
 // one.  The forest context (rooted_forest.hpp) lays the ranked cycles out
 // as one tour of the whole forest and reads levels, owning roots and
 // root-path sums off it.
+//
+// A permutation has no tree nodes, so every node is a cycle node and there
+// is no tour to lay out: the solve's partition of a permutation is its
+// preimage lists alone (build_euler_partition_unless_permutation).
 
 #include <span>
 #include <vector>
@@ -39,7 +43,8 @@ struct EulerPartition {
   /// rewrites it in place as the arc's position in the forest's tour.
   std::vector<u32> pos;
   /// pos is set.  Ranking is skipped when every in-degree is 1: f is then
-  /// a permutation, without tree nodes.
+  /// a permutation, without tree nodes.  succ and leader may then be empty
+  /// too, so a reader checks `ranked` before either.
   bool ranked = false;
 
   std::span<const u32> preimages(u32 v) const {
@@ -54,6 +59,8 @@ struct EulerPartition {
 };
 
 /// The preimage lists of f alone (pre_off, pre); leaves `ranked` false.
+/// The counting pass also detects a permutation, whose lists
+/// (pre[v] = f^-1(v)) are then written with no scan or sort.
 void build_preimages_into(std::span<const u32> f, EulerPartition& arcs);
 
 /// The whole partition: preimages, successors, Euler-cycle leaders by
@@ -62,5 +69,11 @@ void build_preimages_into(std::span<const u32> f, EulerPartition& arcs);
 /// vectors.  An Euler cycle's length is one more than the rank of its
 /// leader's predecessor.
 void build_euler_partition_into(std::span<const u32> f, EulerPartition& arcs);
+
+/// The partition as a solve needs it: the whole partition when f has tree
+/// nodes, and only the preimage lists when f is a permutation, with succ
+/// and leader emptied (their capacity kept) and `ranked` false.  Returns
+/// whether the successors and leaders were built.
+bool build_euler_partition_unless_permutation(std::span<const u32> f, EulerPartition& arcs);
 
 }  // namespace sfcp::graph

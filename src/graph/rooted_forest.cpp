@@ -221,13 +221,14 @@ void build_context(std::span<const u32> f, std::span<const u8> on_cycle, const C
   if (!arcs_built) {
     prof::Scope scope("partition");
     if (strategy == ForestStrategy::EulerTour) {
-      build_euler_partition_into(f, ctx.arcs);
+      build_euler_partition_unless_permutation(f, ctx.arcs);
     } else {
       build_preimages_into(f, ctx.arcs);
     }
   }
   if (strategy == ForestStrategy::EulerTour) {
-    if (!ctx.arcs.ranked) {  // a permutation: every node is a root
+    // A permutation: every node is a root, and succ and leader may be empty.
+    if (!ctx.arcs.ranked) {
       pram::parallel_for(0, n, [&](std::size_t x) {
         ctx.level[x] = 0;
         ctx.root_of[x] = static_cast<u32>(x);

@@ -55,6 +55,30 @@ u32 msp_booth(std::span<const u32> s) {
   return k % static_cast<u32>(n);
 }
 
+PeriodMsp period_and_msp(std::span<const u32> s) {
+  const u32 n = static_cast<u32>(s.size());
+  if (n == 0) return {};
+  // i + k and j + k stay below 2n, so one conditional subtract wraps them.
+  const auto at = [&](u32 x) { return s[x < n ? x : x - n]; };
+  u32 i = 0, j = 1, k = 0;
+  while (i < n && j < n && k < n) {
+    const u32 a = at(i + k), b = at(j + k);
+    if (a == b) {
+      ++k;
+      continue;
+    }
+    if (a > b) {
+      i += k + 1;
+    } else {
+      j += k + 1;
+    }
+    if (i == j) ++j;
+    k = 0;
+  }
+  pram::charge(2 * static_cast<std::size_t>(n));
+  return {k == n ? (i > j ? i - j : j - i) : n, std::min(i, j)};
+}
+
 u32 msp_duval(std::span<const u32> s) {
   const std::size_t n = s.size();
   if (n <= 1) return 0;

@@ -18,6 +18,11 @@
 // Sequential references: Booth's O(n) algorithm [5] and a Duval/Lyndon-based
 // O(n) algorithm (Shiloach [17] plays this role in the paper), plus an
 // O(n^2) brute force for testing.
+//
+// `period_and_msp` is the sequential kernel cycle labelling runs once per
+// cycle when there are many cycles: the two-pointer least-rotation scan
+// gives the smallest period and the m.s.p. of the period prefix together,
+// in one pass without scratch memory.
 
 #include <span>
 #include <vector>
@@ -30,6 +35,19 @@ enum class MspStrategy { Brute, Booth, Duval, Simple, Efficient };
 
 /// Booth's least-rotation algorithm, O(n) sequential.
 u32 msp_booth(std::span<const u32> s);
+
+/// Smallest period (as smallest_period_seq) and m.s.p. of a string.
+struct PeriodMsp {
+  u32 period = 0;  ///< smallest p dividing the length with s = (s[0..p))^{n/p}
+  u32 msp = 0;     ///< smallest minimal starting point, in [0, period)
+};
+
+/// Both in one O(n) sequential scan: candidates i and j are compared k
+/// symbols on; the loser of a mismatch, and the k candidates after it, are
+/// dropped.  The smaller survivor is the m.s.p.; when k reaches n the two
+/// rotations are equal and |i - j| is the smallest period, otherwise the
+/// string is primitive.  {0, 0} for the empty string.
+PeriodMsp period_and_msp(std::span<const u32> s);
 
 /// Lyndon-factorization (Duval-style) least rotation, O(n) sequential.
 u32 msp_duval(std::span<const u32> s);

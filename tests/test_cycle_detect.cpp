@@ -102,16 +102,15 @@ TEST(CycleDetect, LargeRandomAgreement) {
   EXPECT_EQ(find_cycle_nodes(inst.f, CycleDetectStrategy::EulerTour), ref);
 }
 
-// The partition the Euler detector leaves behind: preimage lists, the arc
-// successor permutation and its inverse `pred`, and per arc its Euler
-// cycle's leader (minimum arc) and, only when f is not a permutation, its
-// rank from the leader.
+// The whole partition build_euler_partition_into writes: preimage lists,
+// the arc successor permutation and its inverse `pred`, and per arc its
+// Euler cycle's leader (minimum arc) and, only when f is not a permutation,
+// its rank from the leader.  When f has tree nodes the Euler detector
+// leaves the same partition behind.
 void expect_partition_consistent(const std::vector<u32>& f) {
   const std::size_t n = f.size();
-  std::vector<u8> on_cycle;
   graph::EulerPartition arcs;
-  graph::find_cycle_nodes_into(f, CycleDetectStrategy::EulerTour, on_cycle, arcs);
-  EXPECT_EQ(on_cycle, find_cycle_nodes(f, CycleDetectStrategy::Sequential));
+  graph::build_euler_partition_into(f, arcs);
   bool permutation = true;
   for (u32 v = 0; v < n; ++v) permutation &= arcs.preimages(v).size() == 1;
   ASSERT_EQ(arcs.ranked, !permutation);
@@ -131,6 +130,17 @@ void expect_partition_consistent(const std::vector<u32>& f) {
     if (!arcs.ranked) continue;
     EXPECT_EQ(arcs.pos[b], arcs.leader[b] == b ? 0 : arcs.pos[a] + 1) << "arc " << a;
   }
+  if (permutation) return;
+  std::vector<u8> on_cycle;
+  graph::EulerPartition detected;
+  graph::find_cycle_nodes_into(f, CycleDetectStrategy::EulerTour, on_cycle, detected);
+  EXPECT_EQ(on_cycle, find_cycle_nodes(f, CycleDetectStrategy::Sequential));
+  EXPECT_TRUE(detected.ranked);
+  EXPECT_EQ(detected.pre_off, arcs.pre_off);
+  EXPECT_EQ(detected.pre, arcs.pre);
+  EXPECT_EQ(detected.succ, arcs.succ);
+  EXPECT_EQ(detected.leader, arcs.leader);
+  EXPECT_EQ(detected.pos, arcs.pos);
 }
 
 TEST(CycleDetect, EulerPartitionIsRankedUnlessPermutation) {
@@ -143,6 +153,45 @@ TEST(CycleDetect, EulerPartitionIsRankedUnlessPermutation) {
   const pram::ScopedContext pooled(pram::ExecutionContext{}.with_threads(2).with_grain(64));
   expect_partition_consistent(util::random_function(5000, 3, rng).f);
   expect_partition_consistent(util::long_tail(5000, 4, 2, rng).f);
+  expect_partition_consistent(util::random_permutation(5000, 3, rng).f);
+}
+
+// On a permutation the Euler detector marks every node and stops at the
+// preimage lists: pre[v] is v's one preimage, nothing is ranked and succ
+// and leader are empty, their capacity kept for the next instance.
+TEST(CycleDetect, EulerDetectorStopsAtPreimageListsOnPermutation) {
+  util::Rng rng(137);
+  const auto trees = util::random_function(4000, 3, rng);
+  for (const int threads : {1, 2, 4}) {
+    const pram::ScopedContext pooled(
+        pram::ExecutionContext{}.with_threads(threads).with_grain(64));
+    for (const std::size_t n : {1u, 2u, 777u, 4000u}) {
+      const auto f = util::random_permutation(n, 3, rng).f;
+      std::vector<u8> on_cycle;
+      graph::EulerPartition arcs;
+      graph::find_cycle_nodes_into(trees.f, CycleDetectStrategy::EulerTour, on_cycle, arcs);
+      ASSERT_TRUE(arcs.ranked);
+      const u32* succ = arcs.succ.data();
+      graph::find_cycle_nodes_into(f, CycleDetectStrategy::EulerTour, on_cycle, arcs);
+      EXPECT_EQ(on_cycle, std::vector<u8>(n, 1)) << "n=" << n;
+      EXPECT_FALSE(arcs.ranked);
+      EXPECT_TRUE(arcs.succ.empty());
+      EXPECT_TRUE(arcs.leader.empty());
+      EXPECT_EQ(arcs.succ.data(), succ) << "succ reallocated";
+      ASSERT_EQ(arcs.pre_off.size(), n + 1);
+      ASSERT_EQ(arcs.pre.size(), n);
+      for (u32 x = 0; x < n; ++x) {
+        ASSERT_EQ(arcs.pre_off[x], x);
+        ASSERT_EQ(arcs.pre[f[x]], x);
+      }
+      EXPECT_EQ(arcs.pre_off[n], n);
+      // The same partition builds a tree instance's in full again.
+      graph::find_cycle_nodes_into(trees.f, CycleDetectStrategy::EulerTour, on_cycle, arcs);
+      EXPECT_EQ(on_cycle, find_cycle_nodes(trees.f, CycleDetectStrategy::Sequential));
+      EXPECT_TRUE(arcs.ranked);
+      EXPECT_EQ(arcs.succ.size(), 2 * trees.size());
+    }
+  }
 }
 
 }  // namespace

@@ -19,6 +19,8 @@ using strings::msp_duval;
 using strings::msp_efficient;
 using strings::msp_simple;
 using strings::MspStrategy;
+using strings::period_and_msp;
+using strings::smallest_period_seq;
 
 TEST(Msp, SingleSymbol) {
   std::vector<u32> s{9};
@@ -156,6 +158,57 @@ TEST(Msp, EfficientRecursionDepthInputs) {
               minimal_starting_point(s, MspStrategy::Booth))
         << "n=" << n;
   }
+}
+
+// The kernel's m.s.p. against Booth's on the period prefix, for every
+// string of length 0 .. max_len over base .. base + sigma - 1.
+void expect_msp_matches_booth(u32 base, u32 sigma, std::size_t max_len) {
+  for (std::size_t len = 0; len <= max_len; ++len) {
+    std::vector<u32> s(len, base);
+    for (;;) {
+      const std::span<const u32> prefix(s.data(), smallest_period_seq(s));
+      ASSERT_EQ(period_and_msp(s).msp, msp_booth(prefix)) << "length " << len;
+      std::size_t i = 0;
+      while (i < len && s[i] == base + sigma - 1) s[i++] = base;
+      if (i == len) break;
+      ++s[i];
+    }
+  }
+}
+
+TEST(PeriodAndMsp, MspMatchesBoothOnAllShortStrings) {
+  expect_msp_matches_booth(0, 2, 16);
+  expect_msp_matches_booth(0, 3, 10);
+  // Labels at the top of u32.
+  expect_msp_matches_booth(0xFFFFFFFEu, 2, 12);
+}
+
+TEST(PeriodAndMsp, MspEdgeCases) {
+  EXPECT_EQ(period_and_msp({}).msp, 0u);
+  const std::vector<u32> one{0xFFFFFFFFu};
+  EXPECT_EQ(period_and_msp(one).msp, 0u);
+  const std::vector<u32> same(40, 0xFFFFFFFEu);
+  EXPECT_EQ(period_and_msp(same).msp, 0u);
+  // Example 3.4's string and its rotations.
+  const auto ex = util::paper_example_3_4();
+  for (std::size_t r = 0; r < ex.size(); ++r) {
+    std::vector<u32> rot(ex.begin() + static_cast<std::ptrdiff_t>(r), ex.end());
+    rot.insert(rot.end(), ex.begin(), ex.begin() + static_cast<std::ptrdiff_t>(r));
+    EXPECT_EQ(period_and_msp(rot).msp, msp_brute(rot)) << "rotation " << r;
+  }
+}
+
+TEST(PeriodAndMsp, MspOnLongStrings) {
+  util::Rng rng(211);
+  for (const u32 sigma : {2u, 3u, 1u << 16}) {
+    const auto s = util::random_string(1 << 15, sigma, rng);
+    EXPECT_EQ(period_and_msp(s).msp, msp_booth(s)) << "sigma=" << sigma;
+  }
+  const auto runs = util::runs_string(1 << 14, 3, 32, rng);
+  EXPECT_EQ(period_and_msp(runs).msp, msp_booth(runs));
+  const auto periodic = util::periodic_string(4000, 250, 2, rng);
+  EXPECT_EQ(period_and_msp(periodic).msp,
+            msp_booth(std::span<const u32>(periodic).first(smallest_period_seq(periodic))));
 }
 
 }  // namespace

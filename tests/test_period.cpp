@@ -1,6 +1,7 @@
 // Unit tests for smallest repeating prefix (period) finding.
 #include <gtest/gtest.h>
 
+#include "strings/msp.hpp"
 #include "strings/period.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
@@ -9,6 +10,7 @@ namespace sfcp {
 namespace {
 
 using strings::is_repeating;
+using strings::period_and_msp;
 using strings::RankTable;
 using strings::smallest_period_parallel;
 using strings::smallest_period_seq;
@@ -123,6 +125,57 @@ TEST_P(PeriodSweep, SequentialAndParallelAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PeriodSweep, ::testing::Values(1, 2, 3, 4, 6, 12, 60, 64, 96, 120));
+
+// Calls check(s) for every string of length 0 .. max_len over the symbols
+// base .. base + sigma - 1.
+template <typename Check>
+void for_each_string(u32 base, u32 sigma, std::size_t max_len, Check&& check) {
+  for (std::size_t len = 0; len <= max_len; ++len) {
+    std::vector<u32> s(len, base);
+    for (;;) {
+      check(std::span<const u32>(s));
+      std::size_t i = 0;
+      while (i < len && s[i] == base + sigma - 1) s[i++] = base;
+      if (i == len) break;
+      ++s[i];
+    }
+  }
+}
+
+TEST(PeriodAndMsp, PeriodMatchesKmpOnAllShortStrings) {
+  std::size_t strings = 0;
+  const auto check = [&](std::span<const u32> s) {
+    ++strings;
+    ASSERT_EQ(period_and_msp(s).period, smallest_period_seq(s)) << "length " << s.size();
+  };
+  for_each_string(0, 2, 16, check);
+  for_each_string(0, 3, 10, check);
+  EXPECT_EQ(strings, 131071u + 88573u);
+}
+
+TEST(PeriodAndMsp, PeriodEdgeCases) {
+  EXPECT_EQ(period_and_msp({}).period, 0u);
+  const std::vector<u32> one{7};
+  EXPECT_EQ(period_and_msp(one).period, 1u);
+  for (const u32 x : {0u, 5u, 0xFFFFFFFFu}) {
+    const std::vector<u32> same(37, x);
+    EXPECT_EQ(period_and_msp(same).period, 1u) << x;
+  }
+  // Comparisons are unsigned up to the top of u32.
+  for_each_string(0xFFFFFFFEu, 2, 12, [](std::span<const u32> s) {
+    ASSERT_EQ(period_and_msp(s).period, smallest_period_seq(s)) << "length " << s.size();
+  });
+}
+
+TEST(PeriodAndMsp, PeriodOnLongStrings) {
+  util::Rng rng(113);
+  for (const std::size_t p : {1u, 3u, 64u, 999u}) {
+    const auto s = util::periodic_string(p * 7, p, 3, rng);
+    EXPECT_EQ(period_and_msp(s).period, smallest_period_seq(s)) << "p=" << p;
+  }
+  const auto primitive = util::random_primitive_string(5000, 2, rng);
+  EXPECT_EQ(period_and_msp(primitive).period, 5000u);
+}
 
 }  // namespace
 }  // namespace sfcp

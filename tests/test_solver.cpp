@@ -183,6 +183,38 @@ TEST(Solver, RegistryMatchesSequentialOnEulerPartitionShapes) {
   }
 }
 
+// A permutation with hundreds of cycles of very different lengths: cycle
+// labelling balances them across lanes by node count, and the Euler
+// detector stops at the preimage lists.  One tree node attached to it
+// takes every stage down its tree path instead.  Every registry strategy,
+// at 1, 2 and 4 threads, must label both byte for byte as the sequential
+// solve.
+TEST(Solver, RegistryMatchesSequentialOnManyCyclePermutations) {
+  util::Rng rng(0xC1C1E);
+  graph::Instance perm;
+  for (u32 piece = 0; piece < 64; ++piece) {
+    const auto part = util::random_permutation(512, 3, rng);
+    for (std::size_t x = 0; x < part.size(); ++x) {
+      perm.f.push_back(piece * 512 + part.f[x]);
+      perm.b.push_back(part.b[x]);
+    }
+  }
+  graph::Instance attached = perm;
+  attached.f.push_back(static_cast<u32>(rng.below(perm.size())));
+  attached.b.push_back(1);
+  for (const auto* inst : {&perm, &attached}) {
+    const auto want = core::solve(*inst, core::Options::sequential()).q;
+    for (const int threads : {1, 2, 4}) {
+      for (const auto& entry : sfcp::registry().all()) {
+        core::Solver solver(entry.options,
+                            pram::ExecutionContext{}.with_threads(threads).with_grain(64));
+        ASSERT_EQ(solver.solve(*inst).q, want)
+            << "strategy " << entry.name << ", " << threads << " threads, n=" << inst->size();
+      }
+    }
+  }
+}
+
 TEST(Solver, SolveBatchMatchesPerInstanceOn100InstanceMixedWorkload) {
   const auto insts = mixed_workload(100, 0xBA7C4);
   core::Solver solver;
