@@ -202,13 +202,6 @@ void label_sequential_dfs(const graph::Instance& inst, const graph::EulerPartiti
 
 }  // namespace
 
-TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructure& cs,
-                         const CycleLabeling& cl, const TreeLabelingOptions& opt) {
-  TreeLabeling out;
-  label_trees_into(inst, cs, cl, opt, out);
-  return out;
-}
-
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out) {
   label_trees_into(inst, cs, cl, opt, out, false);

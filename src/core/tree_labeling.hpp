@@ -59,12 +59,9 @@ struct TreeLabeling {
   prim::ConcurrentPairMap table;
 };
 
-/// Extends the cycle labelling `cl` to all tree nodes.
-TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructure& cs,
-                         const CycleLabeling& cl, const TreeLabelingOptions& opt = {});
-
-/// Workspace-reusing variant: rebuilds `out` in place, reusing the capacity
-/// of its labels, forest context and table across calls.
+/// Extends the cycle labelling `cl` to all tree nodes.  Rebuilds `out` in
+/// place, reusing the capacity of its labels, forest context and table
+/// across calls.
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out);
 

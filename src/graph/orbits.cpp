@@ -1,6 +1,8 @@
 #include "graph/orbits.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <stdexcept>
 
 #include "pram/metrics.hpp"
@@ -66,21 +68,22 @@ Orbits compute_orbits(std::span<const u32> f) {
   return compute_orbits(f, cycle_structure(f));
 }
 
+// Any k <= max_k has at most bit_width(max_k) bits, one level each.
 IterationTable::IterationTable(std::span<const u32> f, u64 max_k) : max_k_(max_k) {
   const std::size_t n = f.size();
+  const int num_levels = std::max(1, static_cast<int>(std::bit_width(max_k)));
   levels_.emplace_back(f.begin(), f.end());
-  u64 reach = 1;
-  while (reach < max_k) {
+  while (static_cast<int>(levels_.size()) < num_levels) {
     const auto& prev = levels_.back();
     std::vector<u32> next(n);
     pram::parallel_for(0, n, [&](std::size_t x) { next[x] = prev[prev[x]]; });
     levels_.push_back(std::move(next));
-    reach <<= 1;
   }
 }
 
 u32 IterationTable::apply(u32 x, u64 k) const {
   if (k > max_k_) throw std::out_of_range("IterationTable::apply: k exceeds max_k");
+  if (x >= levels_[0].size()) throw std::out_of_range("IterationTable::apply: x out of range");
   u32 cur = x;
   for (int j = 0; k != 0; ++j, k >>= 1) {
     if (k & 1) cur = levels_[static_cast<std::size_t>(j)][cur];

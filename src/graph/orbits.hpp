@@ -41,10 +41,11 @@ Orbits compute_orbits(std::span<const u32> f);
 /// O(n log K) preprocessing, K = the largest supported exponent.
 class IterationTable {
  public:
-  /// Builds lift levels for exponents up to `max_k` (inclusive).
+  /// Builds lift levels for exponents up to `max_k` (inclusive):
+  /// max(1, bit_width(max_k)) of them, so at most 64.
   IterationTable(std::span<const u32> f, u64 max_k);
 
-  /// f^k(x); requires k <= max_k().
+  /// f^k(x); throws std::out_of_range unless k <= max_k() and x < |f|.
   u32 apply(u32 x, u64 k) const;
 
   u64 max_k() const { return max_k_; }

@@ -1,7 +1,5 @@
 #include "graph/rooted_forest.hpp"
 
-#include <bit>
-
 #include "pram/parallel_for.hpp"
 #include "prim/scan.hpp"
 #include "prof/profile.hpp"
@@ -127,27 +125,6 @@ void levels_euler(const CycleStructure& cs, ForestContext& ctx) {
   });
 }
 
-void levels_doubling(ForestContext& ctx) {
-  const std::size_t n = ctx.size();
-  if (n == 0) return;
-  std::vector<u32>& jump = ctx.root_of;
-  std::vector<u32>& lvl = ctx.level;
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    jump[x] = ctx.is_root[x] ? static_cast<u32>(x) : ctx.parent[x];
-    lvl[x] = ctx.is_root[x] ? 0 : 1;
-  });
-  std::vector<u32> jump2(n), lvl2(n);
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      lvl2[x] = lvl[x] + lvl[jump[x]];
-      jump2[x] = jump[jump[x]];
-    });
-    lvl.swap(lvl2);
-    jump.swap(jump2);
-  }
-}
-
 void sums_sequential(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
   for (u32 r = 0; r < ctx.size(); ++r) {
     if (ctx.is_root[r]) out[r] = vals[r];
@@ -182,31 +159,6 @@ void sums_euler(ForestContext& ctx, std::span<const u32> vals, std::span<u32> ou
     }
     out[x] = vals[ctx.root_of[x]] + prefix[arcs.pos[Arcs::down_arc(static_cast<u32>(x))]];
   });
-}
-
-void sums_doubling(const ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
-  const std::size_t n = ctx.size();
-  if (n == 0) return;
-  std::vector<u32> jump(n), jump2(n), acc(n), acc2(n);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    acc[x] = vals[x];
-    jump[x] = ctx.is_root[x] ? kNone : ctx.parent[x];
-  });
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      if (jump[x] != kNone) {
-        acc2[x] = acc[x] + acc[jump[x]];
-        jump2[x] = jump[jump[x]];
-      } else {
-        acc2[x] = acc[x];
-        jump2[x] = kNone;
-      }
-    });
-    acc.swap(acc2);
-    jump.swap(jump2);
-  }
-  pram::parallel_for(0, n, [&](std::size_t x) { out[x] = acc[x]; });
 }
 
 // `cs` is read under EulerTour only.
@@ -244,11 +196,7 @@ void build_context(std::span<const u32> f, std::span<const u8> on_cycle, const C
     return;
   }
   prof::Scope scope("levels");
-  if (strategy == ForestStrategy::Sequential) {
-    levels_sequential(ctx);
-  } else {
-    levels_doubling(ctx);
-  }
+  levels_sequential(ctx);
 }
 
 }  // namespace
@@ -274,8 +222,6 @@ void root_path_sums(ForestContext& ctx, std::span<const u32> vals, std::span<u32
       return sums_sequential(ctx, vals, out);
     case ForestStrategy::EulerTour:
       return sums_euler(ctx, vals, out);
-    case ForestStrategy::AncestorDoubling:
-      return sums_doubling(ctx, vals, out);
   }
 }
 

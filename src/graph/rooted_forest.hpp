@@ -20,10 +20,10 @@
 // head gives owning roots.  When the solve's cycle detector built the
 // partition it hands it over, so one partition is ranked per solve.
 //
-// The three strategies: sequential DFS, the Euler tour + prefix sums (the
-// paper's), ancestor doubling.  Builders write into an existing context
-// and reuse the capacity of its vectors, so a reused solver workspace
-// stops reallocating them.
+// The two strategies: sequential DFS, and the Euler tour + prefix sums (the
+// paper's).  Builders write into an existing context and reuse the
+// capacity of its vectors, so a reused solver workspace stops reallocating
+// them.
 
 #include <span>
 #include <vector>
@@ -34,7 +34,7 @@
 
 namespace sfcp::graph {
 
-enum class ForestStrategy { Sequential, EulerTour, AncestorDoubling };
+enum class ForestStrategy { Sequential, EulerTour };
 
 struct ForestContext {
   ForestStrategy strategy = ForestStrategy::EulerTour;

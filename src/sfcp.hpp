@@ -88,12 +88,9 @@
 #include "core/coarsest_partition.hpp"
 #include "core/cycle_labeling.hpp"
 #include "core/moore.hpp"
-#include "core/multi_function.hpp"
-#include "core/partition_algebra.hpp"
 #include "core/partition_view.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
-#include "core/trace.hpp"
 #include "core/tree_labeling.hpp"
 #include "core/verify.hpp"
 #include "engine.hpp"

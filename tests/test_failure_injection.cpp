@@ -6,10 +6,7 @@
 #include "core/baselines.hpp"
 #include "core/coarsest_partition.hpp"
 #include "core/moore.hpp"
-#include "core/multi_function.hpp"
-#include "core/partition_algebra.hpp"
 #include "core/verify.hpp"
-#include "graph/components.hpp"
 #include "graph/orbits.hpp"
 #include "strings/matching.hpp"
 #include "strings/msp.hpp"
@@ -39,7 +36,6 @@ TEST(FailureInjection, EmptyInputsEverywhere) {
   graph::Instance empty;
   EXPECT_EQ(core::solve(empty).num_blocks, 0u);
   EXPECT_EQ(core::solve_hopcroft(empty).num_blocks, 0u);
-  EXPECT_EQ(graph::connected_components(empty.f).count(), 0u);
   std::vector<u32> s;
   EXPECT_EQ(strings::smallest_period_seq(s), 0u);
   EXPECT_EQ(strings::minimal_starting_point(s, strings::MspStrategy::Efficient), 0u);
@@ -126,13 +122,6 @@ TEST(FailureInjection, DegenerateCyclePeriods) {
   }
 }
 
-TEST(FailureInjection, MultiFunctionZeroLetters) {
-  core::MultiInstance inst;
-  inst.b = {0};
-  EXPECT_THROW(core::solve_multi_moore(inst), std::invalid_argument);
-  EXPECT_THROW(core::solve_multi_hopcroft(inst), std::invalid_argument);
-}
-
 TEST(FailureInjection, StringsWithExtremeSymbols) {
   std::vector<u32> s{0xFFFFFFFEu, 0, 0xFFFFFFFEu, 1};
   EXPECT_EQ(strings::msp_booth(s), strings::msp_brute(s));
@@ -207,17 +196,6 @@ TEST(FailureInjection, MatchingSingleSymbolAlphabet) {
     ASSERT_EQ(hits.size(), 94u);
     for (u32 i = 0; i < 94; ++i) EXPECT_EQ(hits[i], i);
   }
-}
-
-TEST(FailureInjection, PartitionAlgebraExtremeLabels) {
-  // Arbitrary u32 labels (not dense) must be handled by join via remap.
-  std::vector<u32> a{0xFFFFFFFEu, 7, 0xFFFFFFFEu};
-  std::vector<u32> b{1, 1, 2};
-  const auto j = core::partition_join(a, b);
-  // a links {0,2}; b links {0,1}: everything joins.
-  EXPECT_EQ(j, (std::vector<u32>{0, 0, 0}));
-  const auto m = core::partition_meet(a, b);
-  EXPECT_EQ(core::block_count(m), 3u);
 }
 
 }  // namespace

@@ -110,6 +110,23 @@ TEST(IterationTable, RejectsOutOfRange) {
   std::vector<u32> f{0, 0};
   IterationTable table(f, 8);
   EXPECT_THROW(table.apply(0, 1000), std::out_of_range);
+  EXPECT_THROW(table.apply(2, 1), std::out_of_range);
+  EXPECT_THROW(table.apply(2, 0), std::out_of_range);
+}
+
+TEST(IterationTable, LargestExponentBuildsOneLevelPerBit) {
+  // 2^63 = 2 (mod 3), so f^(2^63) moves every node of the 3-cycle by two.
+  const std::vector<u32> f{1, 2, 0};
+  IterationTable table(f, ~u64{0});
+  EXPECT_EQ(table.num_levels(), 64);
+  EXPECT_EQ(table.apply(0, u64{1} << 63), 2u);
+  EXPECT_EQ(table.apply(1, ~u64{0}), 1u);  // 2^64 - 1 = 0 (mod 3)
+}
+
+TEST(IterationTable, EmptyFunctionHasNoNodes) {
+  IterationTable table(std::vector<u32>{}, 16);
+  EXPECT_THROW(table.apply(0, 1), std::out_of_range);
+  EXPECT_THROW(table.apply(0, 0), std::out_of_range);
 }
 
 TEST(IterationTable, PeriodicityOnCycles) {

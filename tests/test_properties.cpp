@@ -70,6 +70,29 @@ TEST(SolverProperties, BlockCountMonotoneInB) {
   EXPECT_GE(solve(finer).num_blocks, solve(base).num_blocks);
 }
 
+TEST(PartitionAlgebra, SfcpIsGreatestStableRefinement) {
+  // Any stable refinement of B refines Q (Q is the join-maximal one).
+  util::Rng rng(9011);
+  for (int iter = 0; iter < 15; ++iter) {
+    const auto inst = util::random_function(1 + rng.below(120), 2, rng);
+    const auto q = solve(inst).q;
+    // The identity partition is always a stable refinement of B.
+    std::vector<u32> identity(inst.size());
+    for (std::size_t x = 0; x < identity.size(); ++x) identity[x] = static_cast<u32>(x);
+    EXPECT_TRUE(core::is_refinement(identity, q));
+    // Any refinement of Q (here Q met with a random bit) still refines Q,
+    // and Q itself is stable.
+    std::vector<u32> finer(inst.size());
+    for (std::size_t x = 0; x < finer.size(); ++x) finer[x] = q[x] * 2 + rng.below_u32(2);
+    EXPECT_TRUE(core::is_refinement(finer, q));
+    EXPECT_TRUE(core::is_stable(q, inst.f));
+    // Solving with the finer partition as B yields a partition that still
+    // refines Q (monotonicity of the coarsest stable refinement).
+    graph::Instance finer_inst{inst.f, finer};
+    EXPECT_TRUE(core::is_refinement(solve(finer_inst).q, q));
+  }
+}
+
 TEST(SolverProperties, PermutationOfNodeIdsPreservesPartitionSizes) {
   // Relabelling nodes (conjugating f) permutes Q but keeps block sizes.
   util::Rng rng(1613);

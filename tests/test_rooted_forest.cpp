@@ -1,5 +1,5 @@
 // Unit tests for the forest context: children lists (the Euler partition's
-// preimage lists), levels, owning roots and root-path sums across the three
+// preimage lists), levels, owning roots and root-path sums across the two
 // strategies, including the solve's hand-over of the detector's partition.
 #include <gtest/gtest.h>
 
@@ -24,8 +24,7 @@ using graph::ForestContext;
 using graph::ForestStrategy;
 using graph::root_path_sums;
 
-const auto kAll = {ForestStrategy::Sequential, ForestStrategy::EulerTour,
-                   ForestStrategy::AncestorDoubling};
+const auto kAll = {ForestStrategy::Sequential, ForestStrategy::EulerTour};
 
 graph::CycleStructure cycles_of(const graph::Instance& inst) {
   return cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
@@ -104,11 +103,9 @@ TEST(ForestLevelsTest, StrategiesAgreeOnRandom) {
     const auto inst = util::random_function(1 + rng.below(3000), 3, rng);
     const auto cs = cycles_of(inst);
     const auto ref = context_of(inst, cs, ForestStrategy::Sequential);
-    for (auto strat : {ForestStrategy::EulerTour, ForestStrategy::AncestorDoubling}) {
-      const auto got = context_of(inst, cs, strat);
-      EXPECT_EQ(got.level, ref.level) << static_cast<int>(strat);
-      EXPECT_EQ(got.root_of, ref.root_of) << static_cast<int>(strat);
-    }
+    const auto got = context_of(inst, cs, ForestStrategy::EulerTour);
+    EXPECT_EQ(got.level, ref.level);
+    EXPECT_EQ(got.root_of, ref.root_of);
   }
 }
 
@@ -141,10 +138,7 @@ TEST(RootPathSums, RandomValuesMatchSequential) {
     for (auto& v : vals) v = static_cast<u32>(static_cast<i64>(rng.below(19)) - 9);
     auto seq = context_of(inst, cs, ForestStrategy::Sequential);
     auto euler = context_of(inst, cs, ForestStrategy::EulerTour);
-    auto doubling = context_of(inst, cs, ForestStrategy::AncestorDoubling);
-    const auto ref = sums_of(seq, vals);
-    EXPECT_EQ(sums_of(euler, vals), ref);
-    EXPECT_EQ(sums_of(doubling, vals), ref);
+    EXPECT_EQ(sums_of(euler, vals), sums_of(seq, vals));
   }
 }
 
@@ -155,10 +149,8 @@ TEST(RootPathSums, DeepPathNoOverflow) {
   std::vector<u32> ones(inst.size(), 1);
   auto seq = context_of(inst, cs, ForestStrategy::Sequential);
   auto euler = context_of(inst, cs, ForestStrategy::EulerTour);
-  auto doubling = context_of(inst, cs, ForestStrategy::AncestorDoubling);
   const auto ref = sums_of(seq, ones);
   EXPECT_EQ(sums_of(euler, ones), ref);
-  EXPECT_EQ(sums_of(doubling, ones), ref);
   EXPECT_EQ(*std::max_element(ref.begin(), ref.end()), 29999u);
 }
 
