@@ -83,7 +83,7 @@ void BM_EulerTourBuild(benchmark::State& state) {
   const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
   graph::ForestContext fc;
   for (auto _ : state) {
-    graph::build_forest_context_into(inst.f, cs, graph::ForestStrategy::EulerTour, false, fc);
+    graph::build_forest_context_into(inst.f, cs, false, fc);
     benchmark::DoNotOptimize(fc.level.data());
     benchmark::ClobberMemory();
   }

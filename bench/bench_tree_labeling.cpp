@@ -1,6 +1,7 @@
-// E6 — tree node labelling (Lemma 4.3): ablation of the three step-5
-// strategies (level-synchronous / ancestor doubling / sequential DFS) on
-// deep-path vs bushy vs mergeable forests.
+// E6 — tree node labelling (Lemma 4.3): ablation of the three strategies
+// (step 5 level-synchronous or by ancestor doubling after the Euler-tour
+// steps 1-4, or steps 1-5 in one sequential walk per tree) on deep-path vs
+// bushy vs mergeable forests.
 #include <benchmark/benchmark.h>
 
 #include "core/coarsest_partition.hpp"

@@ -1,9 +1,11 @@
 // E6 — Lemma 4.3: tree node labelling in O(n) operations.
 //
-// Ablation of the three step-5 strategies: LevelSynchronous
-// realizes the Kedem–Palem O(n)-operation bound (depth = tree height),
-// AncestorDoubling trades O(n log d) work for O(log n) depth, and
-// SequentialDFS is the reference.  Shapes: deep path (worst depth), bushy
+// Ablation of the three tree-labelling strategies.  The two parallel ones
+// run steps 1-4 over the forest's Euler tour and differ in step 5:
+// LevelSynchronous realizes the Kedem–Palem O(n)-operation bound (depth =
+// tree height), AncestorDoubling trades O(n log d) work for O(log n)
+// depth.  SequentialDFS, the reference, does steps 1-5 in one walk per
+// tree over f's preimage lists.  Shapes: deep path (worst depth), bushy
 // (worst fan-out), random (typical ~sqrt(n) depth).
 #include <iostream>
 

@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
 
   // Tail depth distribution via the rooted forest.
   graph::ForestContext lv;
-  graph::build_forest_context_into(inst.f, cs.on_cycle, graph::ForestStrategy::EulerTour, lv);
+  graph::build_forest_context_into(inst.f, cs.on_cycle, lv);
   u32 max_level = 0;
   u64 level_sum = 0;
   for (u32 x = 0; x < n; ++x) {

@@ -43,7 +43,6 @@ Options Options::sequential() {
   o.cycle_labeling.msp = strings::MspStrategy::Booth;
   o.cycle_labeling.parallel_period = false;
   o.tree_labeling.strategy = TreeLabelStrategy::SequentialDFS;
-  o.tree_labeling.forest = graph::ForestStrategy::Sequential;
   return o;
 }
 

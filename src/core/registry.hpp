@@ -13,7 +13,7 @@
 // Built-in names are `<detect>-<structure>-<tree>` over
 //   detect:    seq | powers | euler     (cycle-node detection, §5)
 //   structure: seq | jump               (cycle structure, §3 step 1)
-//   tree:      level | double | dfs     (tree-node labelling, §4 step 5)
+//   tree:      level | double | dfs     (tree-node labelling, §4)
 // plus the aliases "parallel" (the paper's default pipeline) and
 // "sequential" (the linear-time sequential baseline, Paige–Tarjan–Bonic's
 // role).  Callers may add() their own entries at startup (e.g. tuned

@@ -177,27 +177,51 @@ void label_ancestor_doubling(const graph::Instance& inst, const Residual& res,
   });
 }
 
-// Step 5, strategy (c): per-root DFS with a global sequential rename table.
-void label_sequential_dfs(const graph::Instance& inst, const graph::EulerPartition& arcs,
-                          const Residual& res, std::vector<u32>& q, u32 fresh_base) {
-  prim::FlatPairMap table(res.nodes.size());
-  u32 next_label = fresh_base;
-  // Residual roots: residual nodes whose parent is not residual.  Walk each
-  // subtree top-down.  A residual node is a tree node whose root path has
-  // an unmarked node, so all of its preimages are residual tree nodes.
-  std::vector<u32> stack;
-  for (const u32 x : res.nodes) {
-    if (res.is_residual[inst.f[x]]) continue;
-    stack.push_back(x);
-    while (!stack.empty()) {
-      const u32 v = stack.back();
-      stack.pop_back();
-      q[v] = table.insert_or_get(pack_pair(inst.b[v], q[inst.f[v]]), next_label);
-      if (q[v] == next_label) ++next_label;
-      for (const u32 c : arcs.preimages(v)) stack.push_back(c);
+// Strategy (c): steps 1-5 in one top-down walk per tree over f's preimage
+// lists.  A node's corresponding cycle position is its parent's minus 1
+// (mod k), and it stays marked (Lemma 4.1) while its parent is and its
+// B-label matches its corresponding node's.  A marked node takes that
+// node's Q-label; an unmarked one, the class of (B, parent label) in one
+// sequential table (Lemma 4.2).  Labels tell the marks apart: a marked
+// node's is a cycle label, an unmarked one's fresh, from cl.num_labels up.
+void label_sequential_walk(const graph::Instance& inst, const graph::CycleStructure& cs,
+                           const graph::EulerPartition& arcs, const CycleLabeling& cl,
+                           TreeLabeling& out) {
+  struct Entry {
+    u32 x, t, parent_q;  ///< node, its corresponding cycle position, its parent's label
+  };
+  prim::FlatPairMap table(inst.size() - cs.cycle_nodes.size());
+  u32 next_label = cl.num_labels;
+  std::vector<Entry> stack;
+  for (std::size_t c = 0; c < cs.num_cycles(); ++c) {
+    const u32* cycle = cs.cycle_nodes.data() + cs.cycle_offset[c];
+    const u32 k = cs.cycle_length(c);
+    for (u32 t = 0; t < k; ++t) {
+      // The root's children sit at position t - 1, as does its cycle
+      // predecessor, the one preimage that is not its child.
+      const u32 below = (t == 0 ? k : t) - 1;
+      for (const u32 x : arcs.preimages(cycle[t])) {
+        if (x != cycle[below]) stack.push_back({x, below, cl.q[cycle[t]]});
+      }
+      while (!stack.empty()) {
+        const Entry e = stack.back();
+        stack.pop_back();
+        const u32 y = cycle[e.t];
+        u32& q = out.q[e.x];
+        if (e.parent_q < cl.num_labels && inst.b[e.x] == inst.b[y]) {
+          q = cl.q[y];
+          ++out.kept;
+        } else {
+          q = table.insert_or_get(pack_pair(inst.b[e.x], e.parent_q), next_label);
+          if (q == next_label) ++next_label;
+          ++out.residual;
+        }
+        const u32 below_x = (e.t == 0 ? k : e.t) - 1;
+        for (const u32 child : arcs.preimages(e.x)) stack.push_back({child, below_x, q});
+      }
     }
   }
-  pram::charge(res.nodes.size());
+  pram::charge(inst.size());
 }
 
 }  // namespace
@@ -217,7 +241,15 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   if (cs.cycle_nodes.size() == n) return;  // no trees to label
 
   graph::ForestContext& fc = out.forest;
-  graph::build_forest_context_into(inst.f, cs, opt.forest, arcs_built, fc);
+  if (opt.strategy == TreeLabelStrategy::SequentialDFS) {
+    if (!arcs_built) {
+      prof::Scope scope("partition");
+      graph::build_preimages_into(inst.f, fc.arcs);
+    }
+    prof::Scope scope("walk");
+    return label_sequential_walk(inst, cs, fc.arcs, cl, out);
+  }
+  graph::build_forest_context_into(inst.f, cs, arcs_built, fc);
 
   // Steps 1-2: mark tree nodes whose B-label matches the corresponding
   // cycle node (Lemma 4.1); cycle nodes are trivially marked.  Every tree
@@ -261,16 +293,10 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   // Step 5: label the residual forest; `bad` is dead and lends its storage.
   prof::Scope scope("step5");
   const u32 fresh_base = cl.num_labels;
-  switch (opt.strategy) {
-    case TreeLabelStrategy::LevelSynchronous:
-      label_level_synchronous(inst, res, fc.level, bad, out.q, fresh_base, out.table);
-      break;
-    case TreeLabelStrategy::AncestorDoubling:
-      label_ancestor_doubling(inst, res, out.q, fresh_base, out.table);
-      break;
-    case TreeLabelStrategy::SequentialDFS:
-      label_sequential_dfs(inst, fc.arcs, res, out.q, fresh_base);
-      break;
+  if (opt.strategy == TreeLabelStrategy::LevelSynchronous) {
+    label_level_synchronous(inst, res, fc.level, bad, out.q, fresh_base, out.table);
+  } else {
+    label_ancestor_doubling(inst, res, out.q, fresh_base, out.table);
   }
   // A table below the allocator's mapping threshold comes back from the
   // heap without page faults, so only a larger one is worth keeping.

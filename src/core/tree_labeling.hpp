@@ -1,12 +1,13 @@
 #pragma once
 // Q-labels of tree nodes — Section 4, Algorithm "tree node labeling".
 //
-// The forest facts every step needs (levels, owning roots, root-path sums)
-// come from one graph::ForestContext per solve.  Under the paper's
-// EulerTour strategy they are prefix sums over the forest's tour, read off
-// the Euler partition that cycle detection (§5) ranked: a solve builds and
-// ranks that partition once, for both sections.  An instance whose nodes
-// all lie on cycles has no trees, and its labelling is the cycle labelling.
+// An instance whose nodes all lie on cycles has no trees, and its
+// labelling is the cycle labelling.  Under the two parallel strategies, the
+// forest facts every step needs (levels, owning roots, root-path sums) come
+// from one graph::ForestContext per solve: prefix sums over the forest's
+// Euler tour, read off the Euler partition that cycle detection (§5)
+// ranked, so a solve builds and ranks that partition once, for both
+// sections.
 // Step 1-2: a tree node x at level l is "marked" iff its B-label equals
 // that of its corresponding cycle node f^{k - (l mod k)}(r) (Lemma 4.1).
 // Step 3: a node keeps its mark only if its whole root path is marked (one
@@ -24,7 +25,10 @@
 //     round then streams over its slice, reading parents' labels from the
 //     earlier slices, and prefetches table slots a few keys ahead.
 //   * AncestorDoubling — O(log n) depth, O(n log depth) work
-//   * SequentialDFS    — O(n) reference
+//   * SequentialDFS    — O(n): steps 1-5 in one top-down walk per tree over
+//     f's preimage lists, every per-node value (corresponding cycle
+//     position, mark and label) following from the parent's.  It builds no
+//     forest context beyond those lists.
 
 #include <span>
 #include <vector>
@@ -42,7 +46,6 @@ enum class TreeLabelStrategy { LevelSynchronous, AncestorDoubling, SequentialDFS
 
 struct TreeLabelingOptions {
   TreeLabelStrategy strategy = TreeLabelStrategy::LevelSynchronous;
-  graph::ForestStrategy forest = graph::ForestStrategy::EulerTour;
 };
 
 struct TreeLabeling {
@@ -51,6 +54,7 @@ struct TreeLabeling {
   u32 residual = 0;    ///< tree nodes labelled in step 5
   /// The solve's forest, levels, roots and tour.  It views the instance's f
   /// and the cycle structure's on_cycle, so read it only while both live.
+  /// Under SequentialDFS it holds only f's preimage lists (`forest.arcs`).
   /// A solve without tree nodes leaves it as it stands.
   graph::ForestContext forest;
   /// Step 5's (B, parent label) table when it is large, kept so that
@@ -67,8 +71,8 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
 
 /// The solve's form: when `arcs_built`, out.forest.arcs already holds
 /// inst.f's Euler partition, as find_cycle_nodes_into's EulerTour detector
-/// left it there, and the forest context uses it instead of building its
-/// own.
+/// left it there, and the forest context (under SequentialDFS, the walk)
+/// uses it instead of building its own.
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out,
                       bool arcs_built);

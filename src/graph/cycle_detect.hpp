@@ -41,7 +41,8 @@ void find_cycle_nodes_into(std::span<const u32> f, CycleDetectStrategy strategy,
                            std::vector<u8>& on_cycle);
 
 /// As above, and under EulerTour leaves f's Euler partition in `arcs` for
-/// the forest context (rooted_forest.hpp): for a permutation its ascending
+/// the tree labelling (the forest context of rooted_forest.hpp, or the
+/// sequential walk's preimage lists): for a permutation its ascending
 /// preimage lists only, with `ranked` false and succ and leader empty
 /// (build_euler_partition_unless_permutation).  The other strategies leave
 /// `arcs` untouched.

@@ -1,10 +1,8 @@
 #include "graph/cycle_structure.hpp"
 
-#include <algorithm>
-#include <bit>
+#include <cassert>
 
-#include "graph/functional_graph.hpp"
-#include "pram/crcw.hpp"
+#include "graph/cycle_detect.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
 #include "prim/list_ranking.hpp"
@@ -41,70 +39,44 @@ void arrange(CycleStructure& cs) {
   });
 }
 
+// Walks each cycle once from its leader, the first flagged node in id
+// order that no earlier walk reached, so cycles come in leader order and
+// each is laid out by rank as it is walked.
 void structure_sequential(std::span<const u32> f, CycleStructure& cs) {
   const std::size_t n = f.size();
-  cs.on_cycle.assign(n, 0);
   cs.leader.assign(n, kNone);
   cs.rank.assign(n, kNone);
   cs.length.assign(n, kNone);
-  // Colors: 0 = unvisited, 1 = on the current walk, 2 = finished.
-  std::vector<u8> color(n, 0);
-  std::vector<u32> path;
-  for (u32 start = 0; start < n; ++start) {
-    if (color[start] != 0) continue;
-    path.clear();
-    u32 v = start;
-    while (color[v] == 0) {
-      color[v] = 1;
-      path.push_back(v);
+  cs.cycle_of.assign(n, kNone);
+  cs.cycle_nodes.clear();
+  cs.cycle_offset.assign(1, 0);
+  for (u32 lead = 0; lead < n; ++lead) {
+    if (!cs.on_cycle[lead] || cs.leader[lead] != kNone) continue;
+    const u32 c = static_cast<u32>(cs.num_cycles());
+    const u32 begin = cs.cycle_offset[c];
+    u32 v = lead;
+    do {
+      assert(cs.on_cycle[v] && cs.leader[v] == kNone);
+      cs.leader[v] = lead;
+      cs.rank[v] = static_cast<u32>(cs.cycle_nodes.size()) - begin;
+      cs.cycle_of[v] = c;
+      cs.cycle_nodes.push_back(v);
       v = f[v];
-    }
-    if (color[v] == 1) {
-      // Found a new cycle: it is the suffix of `path` starting at v.
-      std::size_t pos = path.size();
-      while (pos > 0 && path[pos - 1] != v) --pos;
-      --pos;  // path[pos] == v
-      const u32 len = static_cast<u32>(path.size() - pos);
-      // Leader = min node id on the cycle.
-      u32 lead = path[pos];
-      for (std::size_t i = pos; i < path.size(); ++i) lead = std::min(lead, path[i]);
-      std::size_t lead_at = pos;
-      while (path[lead_at] != lead) ++lead_at;
-      for (std::size_t i = pos; i < path.size(); ++i) {
-        const u32 x = path[i];
-        cs.on_cycle[x] = 1;
-        cs.leader[x] = lead;
-        cs.length[x] = len;
-        cs.rank[x] = static_cast<u32>((i - pos + path.size() - lead_at) % len);
-      }
-    }
-    for (const u32 x : path) color[x] = 2;
+    } while (v != lead);
+    const u32 end = static_cast<u32>(cs.cycle_nodes.size());
+    cs.cycle_offset.push_back(end);
+    for (u32 i = begin; i < end; ++i) cs.length[cs.cycle_nodes[i]] = end - begin;
   }
-  pram::charge(2 * n);
-  arrange(cs);
+  pram::charge(n);
 }
 
-// Flags from the caller or from the f^N image, then the orbits of f on the
-// cycle nodes by ruling-set ranking: leader, rank and length directly.
-void structure_ruling_set(std::span<const u32> f, std::span<const u8> known_flags,
-                          CycleStructure& cs) {
+// The orbits of f on the flagged nodes by ruling-set ranking: leader, rank
+// and length directly.
+void structure_ruling_set(std::span<const u32> f, CycleStructure& cs) {
   const std::size_t n = f.size();
   cs.leader.assign(n, kNone);
   cs.rank.assign(n, kNone);
   cs.length.assign(n, kNone);
-  if (!known_flags.empty()) {
-    cs.on_cycle.assign(known_flags.begin(), known_flags.end());
-  } else {
-    // Cycle nodes = image of f^N for any N >= n (every walk of length N
-    // ends on a cycle, and cycle nodes map onto themselves).
-    cs.on_cycle.assign(n, 0);
-    if (n != 0) {
-      const std::vector<u32> fn = iterate_function(f, std::bit_ceil(static_cast<u64>(n)));
-      pram::parallel_for(0, n, [&](std::size_t x) {
-        pram::common_write(cs.on_cycle[fn[x]], u8{1});
-      });
-    }
-  }
   prim::rank_orbits(f, cs.on_cycle, cs.leader, cs.rank, cs.length);
   arrange(cs);
 }
@@ -112,17 +84,11 @@ void structure_ruling_set(std::span<const u32> f, std::span<const u8> known_flag
 }  // namespace
 
 CycleStructure cycle_structure(std::span<const u32> f, CycleStructureStrategy strategy) {
-  CycleStructure cs;
-  switch (strategy) {
-    case CycleStructureStrategy::Sequential:
-      structure_sequential(f, cs);
-      return cs;
-    case CycleStructureStrategy::PointerJumping:
-      structure_ruling_set(f, {}, cs);
-      return cs;
-  }
-  structure_sequential(f, cs);
-  return cs;
+  const std::vector<u8> on_cycle =
+      find_cycle_nodes(f, strategy == CycleStructureStrategy::Sequential
+                              ? CycleDetectStrategy::Sequential
+                              : CycleDetectStrategy::FunctionPowers);
+  return cycle_structure_with_flags(f, on_cycle, strategy);
 }
 
 CycleStructure cycle_structure_with_flags(std::span<const u32> f, std::span<const u8> on_cycle,
@@ -134,11 +100,9 @@ CycleStructure cycle_structure_with_flags(std::span<const u32> f, std::span<cons
 
 void cycle_structure_with_flags_into(std::span<const u32> f, std::span<const u8> on_cycle,
                                      CycleStructureStrategy strategy, CycleStructure& cs) {
-  if (strategy == CycleStructureStrategy::Sequential) {
-    structure_sequential(f, cs);  // detects as a byproduct; flags agree
-    return;
-  }
-  structure_ruling_set(f, on_cycle, cs);
+  cs.on_cycle.assign(on_cycle.begin(), on_cycle.end());
+  if (strategy == CycleStructureStrategy::Sequential) return structure_sequential(f, cs);
+  structure_ruling_set(f, cs);
 }
 
 }  // namespace sfcp::graph

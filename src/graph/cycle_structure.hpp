@@ -12,7 +12,7 @@
 namespace sfcp::graph {
 
 enum class CycleStructureStrategy {
-  Sequential,      ///< visited-walk, O(n) reference
+  Sequential,      ///< one walk per cycle from its least node, O(n) reference
   /// Ruling-set orbit ranking of f over the cycle nodes (prim::rank_orbits),
   /// O(n) expected work.  It keeps the name of the doubling it replaced, as
   /// does the registry's `jump` slug, so callers and strategy names stay.
@@ -38,12 +38,15 @@ struct CycleStructure {
   u32 node_at(std::size_t c, u32 r) const { return cycle_nodes[cycle_offset[c] + r]; }
 };
 
+/// Both strategies read the cycle nodes from on-cycle flags.  This form
+/// takes them from find_cycle_nodes: the Sequential detector for the
+/// Sequential structure, FunctionPowers (the f^N image) for PointerJumping.
 CycleStructure cycle_structure(std::span<const u32> f,
                                CycleStructureStrategy strategy =
                                    CycleStructureStrategy::PointerJumping);
 
 /// Variant with precomputed on-cycle flags (e.g. from find_cycle_nodes with
-/// the paper's §5 Euler-tour detector); skips re-detection where possible.
+/// the paper's §5 Euler-tour detector); neither strategy re-detects them.
 CycleStructure cycle_structure_with_flags(std::span<const u32> f, std::span<const u8> on_cycle,
                                           CycleStructureStrategy strategy);
 

@@ -10,51 +10,6 @@ namespace {
 
 using Arcs = EulerPartition;
 
-// Visits the tree nodes of every tree top-down, roots ascending: visit(c, v)
-// for each child c of v, after v's own visit.  Only a root has a preimage
-// that is not its child, its cycle predecessor.  The arrays are read
-// through local pointers, which stay in registers across the stack's
-// stores.
-template <typename Visit>
-void walk_trees(ForestContext& ctx, Visit&& visit) {
-  std::vector<u32>& stack = ctx.scratch;
-  stack.clear();
-  const u32* off = ctx.arcs.pre_off.data();
-  const u32* pre = ctx.arcs.pre.data();
-  const std::span<const u8> is_root = ctx.is_root;
-  for (u32 r = 0; r < ctx.size(); ++r) {
-    if (!is_root[r]) continue;
-    for (u32 i = off[r]; i < off[r + 1]; ++i) {
-      const u32 c = pre[i];
-      if (is_root[c]) continue;
-      visit(c, r);
-      stack.push_back(c);
-    }
-    while (!stack.empty()) {
-      const u32 v = stack.back();
-      stack.pop_back();
-      for (u32 i = off[v]; i < off[v + 1]; ++i) {
-        const u32 c = pre[i];
-        visit(c, v);
-        stack.push_back(c);
-      }
-    }
-  }
-  pram::charge(ctx.size());
-}
-
-void levels_sequential(ForestContext& ctx) {
-  for (u32 r = 0; r < ctx.size(); ++r) {
-    if (!ctx.is_root[r]) continue;
-    ctx.level[r] = 0;
-    ctx.root_of[r] = r;
-  }
-  walk_trees(ctx, [&](u32 c, u32 v) {
-    ctx.level[c] = ctx.level[v] + 1;
-    ctx.root_of[c] = ctx.root_of[v];
-  });
-}
-
 // Rotates every Euler cycle to start at its anchor (2c0 or 2c0+1, c0 the
 // leader of its cycle c) and rewrites each arc's rank in place as its tour
 // position: Euler cycle e = 2c + dir starts at the sum of the lengths
@@ -125,14 +80,44 @@ void levels_euler(const CycleStructure& cs, ForestContext& ctx) {
   });
 }
 
-void sums_sequential(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
-  for (u32 r = 0; r < ctx.size(); ++r) {
-    if (ctx.is_root[r]) out[r] = vals[r];
-  }
-  walk_trees(ctx, [&](u32 c, u32 v) { out[c] = out[v] + vals[c]; });
+}  // namespace
+
+void build_forest_context_into(std::span<const u32> f, std::span<const u8> on_cycle,
+                               ForestContext& ctx) {
+  const CycleStructure cs =
+      cycle_structure_with_flags(f, on_cycle, CycleStructureStrategy::PointerJumping);
+  build_forest_context_into(f, cs, false, ctx);
+  ctx.is_root = on_cycle;  // the same flags, in storage that outlives cs
 }
 
-void sums_euler(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
+void build_forest_context_into(std::span<const u32> f, const CycleStructure& cs, bool arcs_built,
+                               ForestContext& ctx) {
+  const std::size_t n = f.size();
+  ctx.parent = f;
+  ctx.is_root = cs.on_cycle;
+  ctx.level.resize(n);
+  ctx.root_of.resize(n);
+  if (!arcs_built) {
+    prof::Scope scope("partition");
+    build_euler_partition_unless_permutation(f, ctx.arcs);
+  }
+  // A permutation: every node is a root, and succ and leader may be empty.
+  if (!ctx.arcs.ranked) {
+    pram::parallel_for(0, n, [&](std::size_t x) {
+      ctx.level[x] = 0;
+      ctx.root_of[x] = static_cast<u32>(x);
+    });
+    return;
+  }
+  {
+    prof::Scope scope("layout");
+    lay_out_tour(cs, ctx);
+  }
+  prof::Scope scope("levels");
+  levels_euler(cs, ctx);
+}
+
+void root_path_sums(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
   const Arcs& arcs = ctx.arcs;
   const std::size_t n = ctx.size();
   const bool aliased = out.data() == vals.data();
@@ -159,70 +144,6 @@ void sums_euler(ForestContext& ctx, std::span<const u32> vals, std::span<u32> ou
     }
     out[x] = vals[ctx.root_of[x]] + prefix[arcs.pos[Arcs::down_arc(static_cast<u32>(x))]];
   });
-}
-
-// `cs` is read under EulerTour only.
-void build_context(std::span<const u32> f, std::span<const u8> on_cycle, const CycleStructure* cs,
-                   ForestStrategy strategy, bool arcs_built, ForestContext& ctx) {
-  const std::size_t n = f.size();
-  ctx.strategy = strategy;
-  ctx.parent = f;
-  ctx.is_root = on_cycle;
-  ctx.level.resize(n);
-  ctx.root_of.resize(n);
-  if (!arcs_built) {
-    prof::Scope scope("partition");
-    if (strategy == ForestStrategy::EulerTour) {
-      build_euler_partition_unless_permutation(f, ctx.arcs);
-    } else {
-      build_preimages_into(f, ctx.arcs);
-    }
-  }
-  if (strategy == ForestStrategy::EulerTour) {
-    // A permutation: every node is a root, and succ and leader may be empty.
-    if (!ctx.arcs.ranked) {
-      pram::parallel_for(0, n, [&](std::size_t x) {
-        ctx.level[x] = 0;
-        ctx.root_of[x] = static_cast<u32>(x);
-      });
-      return;
-    }
-    {
-      prof::Scope scope("layout");
-      lay_out_tour(*cs, ctx);
-    }
-    prof::Scope scope("levels");
-    levels_euler(*cs, ctx);
-    return;
-  }
-  prof::Scope scope("levels");
-  levels_sequential(ctx);
-}
-
-}  // namespace
-
-void build_forest_context_into(std::span<const u32> f, std::span<const u8> on_cycle,
-                               ForestStrategy strategy, ForestContext& ctx) {
-  if (strategy != ForestStrategy::EulerTour) {
-    return build_context(f, on_cycle, nullptr, strategy, false, ctx);
-  }
-  const CycleStructure cs =
-      cycle_structure_with_flags(f, on_cycle, CycleStructureStrategy::PointerJumping);
-  build_context(f, on_cycle, &cs, strategy, false, ctx);
-}
-
-void build_forest_context_into(std::span<const u32> f, const CycleStructure& cs,
-                               ForestStrategy strategy, bool arcs_built, ForestContext& ctx) {
-  build_context(f, cs.on_cycle, &cs, strategy, arcs_built, ctx);
-}
-
-void root_path_sums(ForestContext& ctx, std::span<const u32> vals, std::span<u32> out) {
-  switch (ctx.strategy) {
-    case ForestStrategy::Sequential:
-      return sums_sequential(ctx, vals, out);
-    case ForestStrategy::EulerTour:
-      return sums_euler(ctx, vals, out);
-  }
 }
 
 }  // namespace sfcp::graph

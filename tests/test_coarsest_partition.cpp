@@ -59,6 +59,23 @@ TEST(Solve, ParallelAndSequentialPresetsIdentical) {
     const Result seq = solve(inst, Options::sequential());
     EXPECT_EQ(par.q, seq.q) << "iter " << iter;
     EXPECT_EQ(par.num_blocks, seq.num_blocks);
+    EXPECT_EQ(par.num_cycles, seq.num_cycles);
+    EXPECT_EQ(par.cycle_nodes, seq.cycle_nodes);
+    EXPECT_EQ(par.kept_tree_nodes, seq.kept_tree_nodes);
+    EXPECT_EQ(par.residual_tree_nodes, seq.residual_tree_nodes);
+  }
+}
+
+// The default pipeline and the sequential oracle against the independent
+// baselines, on random functions and on the strategy matrix's adversarial
+// shapes.  Canonical labellings must be identical.
+void expect_presets_match_baselines(const graph::Instance& inst, const char* what) {
+  const auto naive = solve_naive_refinement(inst).q;
+  const auto hopcroft = core::solve_hopcroft(inst).q;
+  for (const bool sequential : {false, true}) {
+    const Result r = solve(inst, sequential ? Options::sequential() : Options::parallel());
+    EXPECT_EQ(r.q, naive) << what << (sequential ? ", sequential" : ", parallel");
+    EXPECT_EQ(r.q, hopcroft) << what << (sequential ? ", sequential" : ", parallel");
   }
 }
 
@@ -66,12 +83,17 @@ TEST(Solve, MatchesAllBaselines) {
   util::Rng rng(1207);
   for (int iter = 0; iter < 20; ++iter) {
     const auto inst = util::random_function(1 + rng.below(1500), 1 + rng.below_u32(4), rng);
-    const Result r = solve(inst);
-    const auto naive = solve_naive_refinement(inst);
-    EXPECT_EQ(r.q, naive.q) << "canonical labellings must be identical";
-    EXPECT_EQ(r.q, core::solve_hopcroft(inst).q);
-    EXPECT_EQ(r.q, core::solve_label_doubling(inst).q);
+    expect_presets_match_baselines(inst, "random function");
+    EXPECT_EQ(solve(inst).q, core::solve_label_doubling(inst).q);
   }
+  util::Rng shape_rng(13003);
+  expect_presets_match_baselines(util::random_permutation(512, 3, shape_rng), "permutation");
+  expect_presets_match_baselines(util::long_tail(512, 8, 2, shape_rng), "long tail");
+  expect_presets_match_baselines(util::bushy(512, 4, 32, 2, shape_rng), "bushy");
+  expect_presets_match_baselines(util::equal_cycles(16, 32, 3, 3, shape_rng), "equal cycles");
+  expect_presets_match_baselines(util::mergeable(512, 8, shape_rng), "mergeable");
+  expect_presets_match_baselines(util::splitter_free_cycle(2048, 3, shape_rng),
+                                 "splitter-free cycle");
 }
 
 TEST(Solve, Idempotence) {

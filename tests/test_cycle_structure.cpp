@@ -1,6 +1,7 @@
 // Unit tests for cycle structure (leader / rank / length / arrangement).
 #include <gtest/gtest.h>
 
+#include "graph/cycle_detect.hpp"
 #include "graph/cycle_structure.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
@@ -82,6 +83,18 @@ TEST(CycleStructure, PaperFig1TwoCycles) {
   }
 }
 
+// Every field, byte for byte.
+void expect_same_structure(const CycleStructure& want, const CycleStructure& got,
+                           const ::testing::Message& label) {
+  EXPECT_EQ(got.on_cycle, want.on_cycle) << label;
+  EXPECT_EQ(got.leader, want.leader) << label;
+  EXPECT_EQ(got.rank, want.rank) << label;
+  EXPECT_EQ(got.length, want.length) << label;
+  EXPECT_EQ(got.cycle_nodes, want.cycle_nodes) << label;
+  EXPECT_EQ(got.cycle_offset, want.cycle_offset) << label;
+  EXPECT_EQ(got.cycle_of, want.cycle_of) << label;
+}
+
 TEST(CycleStructure, StrategiesAgreeExactly) {
   util::Rng rng(501);
   for (int iter = 0; iter < 30; ++iter) {
@@ -91,13 +104,20 @@ TEST(CycleStructure, StrategiesAgreeExactly) {
     for (const auto& inst :
          {util::random_function(n, 3, rng), util::splitter_free_cycle(n, 3, rng)}) {
       const auto seq = cycle_structure(inst.f, CycleStructureStrategy::Sequential);
-      const auto par = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
-      EXPECT_EQ(seq.on_cycle, par.on_cycle);
-      EXPECT_EQ(seq.leader, par.leader);
-      EXPECT_EQ(seq.rank, par.rank);
-      EXPECT_EQ(seq.length, par.length);
-      EXPECT_EQ(seq.cycle_nodes, par.cycle_nodes);
-      EXPECT_EQ(seq.cycle_offset, par.cycle_offset);
+      expect_same_structure(seq, cycle_structure(inst.f, CycleStructureStrategy::PointerJumping),
+                            ::testing::Message() << "flag-less pointer jumping");
+      // Both strategies fed by each detector's flags, as a solve feeds them.
+      for (const auto detect : {graph::CycleDetectStrategy::Sequential,
+                                graph::CycleDetectStrategy::FunctionPowers,
+                                graph::CycleDetectStrategy::EulerTour}) {
+        const auto flags = graph::find_cycle_nodes(inst.f, detect);
+        for (const auto strat :
+             {CycleStructureStrategy::Sequential, CycleStructureStrategy::PointerJumping}) {
+          expect_same_structure(seq, graph::cycle_structure_with_flags(inst.f, flags, strat),
+                                ::testing::Message() << "detector " << static_cast<int>(detect)
+                                                     << ", strategy " << static_cast<int>(strat));
+        }
+      }
     }
   }
 }

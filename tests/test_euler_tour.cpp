@@ -15,10 +15,8 @@ namespace {
 using graph::cycle_structure;
 using graph::EulerPartition;
 using graph::ForestContext;
-using graph::ForestStrategy;
 
-// A forest context under EulerTour and the cycle structure whose on-cycle
-// flags it views.
+// A forest context and the cycle structure whose on-cycle flags it views.
 struct Forest {
   explicit Forest(const graph::Instance& inst)
       : cs(cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential)) {
@@ -29,7 +27,7 @@ struct Forest {
 
   // Rebuilds `into`, which may hold an earlier instance's tour.
   void build(const graph::Instance& inst, ForestContext& into) const {
-    graph::build_forest_context_into(inst.f, cs, ForestStrategy::EulerTour, false, into);
+    graph::build_forest_context_into(inst.f, cs, false, into);
   }
 
   graph::CycleStructure cs;

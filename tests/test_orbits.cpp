@@ -167,7 +167,7 @@ TEST(Orbits, TailEqualsTreeLevel) {
     const auto cs = graph::cycle_structure(inst.f);
     const auto orb = compute_orbits(inst.f, cs);
     graph::ForestContext lv;
-    graph::build_forest_context_into(inst.f, cs.on_cycle, graph::ForestStrategy::EulerTour, lv);
+    graph::build_forest_context_into(inst.f, cs.on_cycle, lv);
     for (std::size_t x = 0; x < inst.size(); ++x) {
       EXPECT_EQ(orb.tail[x], lv.level[x]) << "node " << x;
     }

@@ -1,6 +1,8 @@
 // Unit tests for the forest context: children lists (the Euler partition's
-// preimage lists), levels, owning roots and root-path sums across the two
-// strategies, including the solve's hand-over of the detector's partition.
+// preimage lists), levels, owning roots and root-path sums, including the
+// solve's hand-over of the detector's partition.  The references are
+// independent of the tour: graph::compute_orbits' pointer doubling (tail =
+// level, entry = owning root) and a sequential pass in level order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +11,7 @@
 
 #include "graph/cycle_detect.hpp"
 #include "graph/cycle_structure.hpp"
+#include "graph/orbits.hpp"
 #include "graph/rooted_forest.hpp"
 #include "pram/execution_context.hpp"
 #include "util/generators.hpp"
@@ -21,20 +24,16 @@ using graph::build_forest_context_into;
 using graph::cycle_structure;
 using graph::EulerPartition;
 using graph::ForestContext;
-using graph::ForestStrategy;
 using graph::root_path_sums;
-
-const auto kAll = {ForestStrategy::Sequential, ForestStrategy::EulerTour};
 
 graph::CycleStructure cycles_of(const graph::Instance& inst) {
   return cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
 }
 
 // The context views inst.f and cs.on_cycle; callers keep both alive.
-ForestContext context_of(const graph::Instance& inst, const graph::CycleStructure& cs,
-                         ForestStrategy strategy) {
+ForestContext context_of(const graph::Instance& inst, const graph::CycleStructure& cs) {
   ForestContext ctx;
-  build_forest_context_into(inst.f, cs.on_cycle, strategy, ctx);
+  build_forest_context_into(inst.f, cs.on_cycle, ctx);
   return ctx;
 }
 
@@ -42,6 +41,27 @@ std::vector<u32> sums_of(ForestContext& ctx, std::span<const u32> vals) {
   std::vector<u32> out(vals.size());
   root_path_sums(ctx, vals, out);
   return out;
+}
+
+// Levels and owning roots of the forest, by pointer doubling.
+void expect_levels_and_roots_match_orbits(const graph::Instance& inst, const ForestContext& ctx,
+                                          const ::testing::Message& label = {}) {
+  const graph::Orbits orb = graph::compute_orbits(inst.f);
+  EXPECT_EQ(ctx.level, orb.tail) << label;
+  EXPECT_EQ(ctx.root_of, orb.entry) << label;
+}
+
+// Root-path sums by a sequential pass in ascending level order, so that
+// every parent's sum is final before its children read it.
+std::vector<u32> reference_sums(const graph::Instance& inst, std::span<const u32> vals) {
+  const graph::Orbits orb = graph::compute_orbits(inst.f);
+  std::vector<u32> order(inst.size());
+  for (u32 x = 0; x < order.size(); ++x) order[x] = x;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](u32 a, u32 b) { return orb.tail[a] < orb.tail[b]; });
+  std::vector<u32> sum(inst.size());
+  for (const u32 x : order) sum[x] = vals[x] + (orb.tail[x] == 0 ? 0 : sum[inst.f[x]]);
+  return sum;
 }
 
 // Every node sits in the preimage list of its image, once; lists ascend.
@@ -79,33 +99,26 @@ TEST(ForestLevelsTest, SimpleChain) {
   // 0 self-loop; 1 -> 0; 2 -> 1; 3 -> 2
   graph::Instance inst{{0, 0, 1, 2}, {0, 0, 0, 0}};
   const auto cs = cycles_of(inst);
-  for (auto strat : kAll) {
-    const auto lv = context_of(inst, cs, strat);
-    EXPECT_EQ(lv.level, (std::vector<u32>{0, 1, 2, 3})) << static_cast<int>(strat);
-    EXPECT_EQ(lv.root_of, (std::vector<u32>{0, 0, 0, 0}));
-  }
+  const auto lv = context_of(inst, cs);
+  EXPECT_EQ(lv.level, (std::vector<u32>{0, 1, 2, 3}));
+  EXPECT_EQ(lv.root_of, (std::vector<u32>{0, 0, 0, 0}));
 }
 
 TEST(ForestLevelsTest, TwoTrees) {
   // Cycle 0 <-> 1; 2 -> 0; 3 -> 1; 4 -> 3
   graph::Instance inst{{1, 0, 0, 1, 3}, {0, 0, 0, 0, 0}};
   const auto cs = cycles_of(inst);
-  for (auto strat : kAll) {
-    const auto lv = context_of(inst, cs, strat);
-    EXPECT_EQ(lv.level, (std::vector<u32>{0, 0, 1, 1, 2}));
-    EXPECT_EQ(lv.root_of, (std::vector<u32>{0, 1, 0, 1, 1}));
-  }
+  const auto lv = context_of(inst, cs);
+  EXPECT_EQ(lv.level, (std::vector<u32>{0, 0, 1, 1, 2}));
+  EXPECT_EQ(lv.root_of, (std::vector<u32>{0, 1, 0, 1, 1}));
 }
 
-TEST(ForestLevelsTest, StrategiesAgreeOnRandom) {
+TEST(ForestLevelsTest, MatchesOrbitsOnRandom) {
   util::Rng rng(809);
   for (int iter = 0; iter < 20; ++iter) {
     const auto inst = util::random_function(1 + rng.below(3000), 3, rng);
     const auto cs = cycles_of(inst);
-    const auto ref = context_of(inst, cs, ForestStrategy::Sequential);
-    const auto got = context_of(inst, cs, ForestStrategy::EulerTour);
-    EXPECT_EQ(got.level, ref.level);
-    EXPECT_EQ(got.root_of, ref.root_of);
+    expect_levels_and_roots_match_orbits(inst, context_of(inst, cs));
   }
 }
 
@@ -113,17 +126,15 @@ TEST(RootPathSums, UnitValuesGiveLevelPlusRootValue) {
   util::Rng rng(811);
   const auto inst = util::random_function(1500, 3, rng);
   const auto cs = cycles_of(inst);
-  const auto lv = context_of(inst, cs, ForestStrategy::Sequential);
+  const graph::Orbits orb = graph::compute_orbits(inst.f);
   std::vector<u32> ones(inst.size(), 1);
-  for (auto strat : kAll) {
-    auto ctx = context_of(inst, cs, strat);
-    const auto sums = sums_of(ctx, ones);
-    for (u32 x = 0; x < inst.size(); ++x) {
-      if (cs.on_cycle[x]) {
-        EXPECT_EQ(sums[x], 1u) << "root " << x;
-      } else {
-        EXPECT_EQ(sums[x], lv.level[x] + 1) << "node " << x;
-      }
+  auto ctx = context_of(inst, cs);
+  const auto sums = sums_of(ctx, ones);
+  for (u32 x = 0; x < inst.size(); ++x) {
+    if (cs.on_cycle[x]) {
+      EXPECT_EQ(sums[x], 1u) << "root " << x;
+    } else {
+      EXPECT_EQ(sums[x], orb.tail[x] + 1) << "node " << x;
     }
   }
 }
@@ -136,9 +147,8 @@ TEST(RootPathSums, RandomValuesMatchSequential) {
     // Signed values in two's complement: the sums are exact mod 2^32.
     std::vector<u32> vals(inst.size());
     for (auto& v : vals) v = static_cast<u32>(static_cast<i64>(rng.below(19)) - 9);
-    auto seq = context_of(inst, cs, ForestStrategy::Sequential);
-    auto euler = context_of(inst, cs, ForestStrategy::EulerTour);
-    EXPECT_EQ(sums_of(euler, vals), sums_of(seq, vals));
+    auto ctx = context_of(inst, cs);
+    EXPECT_EQ(sums_of(ctx, vals), reference_sums(inst, vals));
   }
 }
 
@@ -147,10 +157,9 @@ TEST(RootPathSums, DeepPathNoOverflow) {
   const auto inst = util::long_tail(30000, 2, 2, rng);
   const auto cs = cycles_of(inst);
   std::vector<u32> ones(inst.size(), 1);
-  auto seq = context_of(inst, cs, ForestStrategy::Sequential);
-  auto euler = context_of(inst, cs, ForestStrategy::EulerTour);
-  const auto ref = sums_of(seq, ones);
-  EXPECT_EQ(sums_of(euler, ones), ref);
+  auto ctx = context_of(inst, cs);
+  const auto ref = reference_sums(inst, ones);
+  EXPECT_EQ(sums_of(ctx, ones), ref);
   EXPECT_EQ(*std::max_element(ref.begin(), ref.end()), 29999u);
 }
 
@@ -160,44 +169,36 @@ TEST(RootPathSums, AliasedOutputMatchesSeparateOutput) {
   const auto cs = cycles_of(inst);
   std::vector<u32> vals(inst.size());
   for (auto& v : vals) v = static_cast<u32>(rng.below(5));
-  for (auto strat : kAll) {
-    auto ctx = context_of(inst, cs, strat);
-    const auto want = sums_of(ctx, vals);
-    std::vector<u32> in_place = vals;
-    root_path_sums(ctx, in_place, in_place);
-    EXPECT_EQ(in_place, want) << static_cast<int>(strat);
-  }
+  auto ctx = context_of(inst, cs);
+  const auto want = sums_of(ctx, vals);
+  std::vector<u32> in_place = vals;
+  root_path_sums(ctx, in_place, in_place);
+  EXPECT_EQ(in_place, want);
 }
 
-// Runs every strategy through the one context `ctx`, building the Euler
-// partition itself and taking the detector's, and compares levels, owning
-// roots and path sums with a fresh Sequential context.
-void expect_context_matches_sequential(const graph::Instance& inst, ForestContext& ctx) {
+// Builds the one context `ctx` twice, building the Euler partition itself
+// and taking the detector's, and compares levels, owning roots and path
+// sums with the references.
+void expect_context_matches_references(const graph::Instance& inst, ForestContext& ctx) {
   const auto cs = cycles_of(inst);
-  auto ref = context_of(inst, cs, ForestStrategy::Sequential);
   std::vector<u32> vals(inst.size());
   for (std::size_t x = 0; x < vals.size(); ++x) vals[x] = static_cast<u32>(x % 3);
-  const auto ref_sums = sums_of(ref, vals);
+  const auto ref_sums = reference_sums(inst, vals);
   const bool trees = cs.cycle_nodes.size() < inst.size();
-  for (auto strat : kAll) {
-    for (const bool handed_over : {false, true}) {
-      if (handed_over) {
-        std::vector<u8> on_cycle;
-        graph::find_cycle_nodes_into(inst.f, graph::CycleDetectStrategy::EulerTour, on_cycle,
-                                     ctx.arcs);
-        ASSERT_EQ(on_cycle, cs.on_cycle);
-      }
-      build_forest_context_into(inst.f, cs, strat, handed_over, ctx);
-      const auto label = ::testing::Message() << "strategy " << static_cast<int>(strat)
-                                              << (handed_over ? ", handed over" : "");
-      EXPECT_EQ(ctx.level, ref.level) << label;
-      EXPECT_EQ(ctx.root_of, ref.root_of) << label;
-      EXPECT_EQ(sums_of(ctx, vals), ref_sums) << label;
-      EXPECT_EQ(ctx.arcs.pre.size(), inst.size());
-      const bool tour = strat == ForestStrategy::EulerTour && trees;
-      EXPECT_EQ(ctx.arcs.ranked, tour || (handed_over && trees)) << label;
-      if (tour) EXPECT_EQ(ctx.arcs.pos.size(), 2 * inst.size()) << label;
+  for (const bool handed_over : {false, true}) {
+    if (handed_over) {
+      std::vector<u8> on_cycle;
+      graph::find_cycle_nodes_into(inst.f, graph::CycleDetectStrategy::EulerTour, on_cycle,
+                                   ctx.arcs);
+      ASSERT_EQ(on_cycle, cs.on_cycle);
     }
+    build_forest_context_into(inst.f, cs, handed_over, ctx);
+    const auto label = ::testing::Message() << (handed_over ? "handed over" : "built");
+    expect_levels_and_roots_match_orbits(inst, ctx, label);
+    EXPECT_EQ(sums_of(ctx, vals), ref_sums) << label;
+    EXPECT_EQ(ctx.arcs.pre.size(), inst.size());
+    EXPECT_EQ(ctx.arcs.ranked, trees) << label;
+    if (trees) EXPECT_EQ(ctx.arcs.pos.size(), 2 * inst.size()) << label;
   }
 }
 
@@ -205,16 +206,14 @@ TEST(ForestContextTest, AllCycleInstanceHasEmptyForestAndTour) {
   util::Rng rng(829);
   const auto inst = util::random_permutation(700, 3, rng);
   ForestContext ctx;
-  expect_context_matches_sequential(inst, ctx);
+  expect_context_matches_references(inst, ctx);
   const auto cs = cycles_of(inst);
-  for (auto strat : kAll) {
-    build_forest_context_into(inst.f, cs.on_cycle, strat, ctx);
-    EXPECT_FALSE(ctx.arcs.ranked);
-    for (u32 x = 0; x < inst.size(); ++x) {
-      EXPECT_EQ(ctx.arcs.preimages(x).size(), 1u);
-      EXPECT_EQ(ctx.level[x], 0u);
-      EXPECT_EQ(ctx.root_of[x], x);
-    }
+  build_forest_context_into(inst.f, cs.on_cycle, ctx);
+  EXPECT_FALSE(ctx.arcs.ranked);
+  for (u32 x = 0; x < inst.size(); ++x) {
+    EXPECT_EQ(ctx.arcs.preimages(x).size(), 1u);
+    EXPECT_EQ(ctx.level[x], 0u);
+    EXPECT_EQ(ctx.root_of[x], x);
   }
 }
 
@@ -227,7 +226,7 @@ TEST(ForestContextTest, SingleDeepChain) {
     inst.b.push_back(x % 2);
   }
   ForestContext ctx;
-  expect_context_matches_sequential(inst, ctx);
+  expect_context_matches_references(inst, ctx);
   EXPECT_EQ(ctx.level[n - 1], n - 1);
   EXPECT_EQ(ctx.root_of[n - 1], 0u);
 }
@@ -237,9 +236,9 @@ TEST(ForestContextTest, ReusedAcrossLargeSmallLarge) {
   const auto large = util::random_function(4000, 3, rng);
   const auto small = util::random_function(12, 3, rng);
   ForestContext ctx;
-  expect_context_matches_sequential(large, ctx);
-  expect_context_matches_sequential(small, ctx);
-  expect_context_matches_sequential(large, ctx);
+  expect_context_matches_references(large, ctx);
+  expect_context_matches_references(small, ctx);
+  expect_context_matches_references(large, ctx);
 }
 
 // Instances built from a list of f values, with B = x mod 2.
@@ -255,7 +254,7 @@ TEST(ForestContextTest, SelfLoopRootsAndTwoCycles) {
   // Self-loops 0 and 1, 2-cycles 2 <-> 3 and 4 <-> 5 (5 childless).
   const auto inst = instance_of({0, 1, 3, 2, 5, 4, 0, 6, 1, 2, 3, 3, 9, 4});
   ForestContext ctx;
-  expect_context_matches_sequential(inst, ctx);
+  expect_context_matches_references(inst, ctx);
   EXPECT_EQ(ctx.level[12], 2u);
   EXPECT_EQ(ctx.root_of[12], 2u);
 }
@@ -266,9 +265,9 @@ TEST(ForestContextTest, CyclePredecessorSmallestOrLargestPreimage) {
   // predecessor 7 between its children 3 and 10.
   const auto inst = instance_of({1, 7, 7, 5, 8, 6, 7, 5, 6, 6, 5});
   ForestContext ctx;
-  expect_context_matches_sequential(inst, ctx);
+  expect_context_matches_references(inst, ctx);
   const auto cs = cycles_of(inst);
-  build_forest_context_into(inst.f, cs, ForestStrategy::EulerTour, false, ctx);
+  build_forest_context_into(inst.f, cs, false, ctx);
   // Children above the predecessor lie in the forward Euler cycle, which
   // ends where the backward one starts, at the leader 5's buddy arc.
   const std::vector<u32>& pos = ctx.arcs.pos;
@@ -291,7 +290,7 @@ TEST(ForestContextTest, TreeOnEveryCycleNode) {
   }
   const auto inst = instance_of(std::move(f));
   ForestContext ctx;
-  expect_context_matches_sequential(inst, ctx);
+  expect_context_matches_references(inst, ctx);
   EXPECT_EQ(*std::max_element(ctx.level.begin(), ctx.level.end()), 2u);
 }
 
@@ -306,7 +305,7 @@ TEST(ForestContextTest, DeepChainOf65536) {
   for (auto* f : {&down, &up}) {
     const auto inst = instance_of(*f);
     ForestContext ctx;
-    expect_context_matches_sequential(inst, ctx);
+    expect_context_matches_references(inst, ctx);
     EXPECT_EQ(*std::max_element(ctx.level.begin(), ctx.level.end()), n - 1);
   }
 }
@@ -318,7 +317,7 @@ TEST(ForestContextTest, ManyComponents) {
   for (u32 x = 0; x < f.size(); ++x) f[x] = x / 5 * 5 + static_cast<u32>(rng.below(5));
   const auto inst = instance_of(std::move(f));
   ForestContext ctx;
-  expect_context_matches_sequential(inst, ctx);
+  expect_context_matches_references(inst, ctx);
   EXPECT_GE(cycles_of(inst).num_cycles(), 1000u);
 }
 
@@ -330,9 +329,9 @@ TEST(ForestContextTest, ReusedAcrossSizesOnThePool) {
     const pram::ScopedContext pooled(
         pram::ExecutionContext{}.with_threads(threads).with_grain(64));
     ForestContext ctx;
-    expect_context_matches_sequential(large, ctx);
-    expect_context_matches_sequential(small, ctx);
-    expect_context_matches_sequential(large, ctx);
+    expect_context_matches_references(large, ctx);
+    expect_context_matches_references(small, ctx);
+    expect_context_matches_references(large, ctx);
   }
 }
 

@@ -16,26 +16,23 @@ using core::Options;
 using core::solve;
 using core::solve_naive_refinement;
 using core::TreeLabelStrategy;
-using graph::ForestStrategy;
 
-Options with(TreeLabelStrategy ts, ForestStrategy fs) {
+Options with(TreeLabelStrategy ts) {
   Options o = Options::parallel();
   o.tree_labeling.strategy = ts;
-  o.tree_labeling.forest = fs;
   return o;
 }
 
 const TreeLabelStrategy kTree[] = {TreeLabelStrategy::LevelSynchronous,
                                    TreeLabelStrategy::AncestorDoubling,
                                    TreeLabelStrategy::SequentialDFS};
-const ForestStrategy kForest[] = {ForestStrategy::Sequential, ForestStrategy::EulerTour};
 
 TEST(TreeLabeling, KeptNodeCopiesCycleLabel) {
   // Self-loop 0 with b=7; tree node 1 -> 0 with b=7 matches the cycle label
   // string, so it must merge with node 0.
   graph::Instance inst{{0, 0}, {7, 7}};
   for (auto ts : kTree) {
-    const auto r = solve(inst, with(ts, ForestStrategy::Sequential));
+    const auto r = solve(inst, with(ts));
     EXPECT_EQ(r.q[0], r.q[1]) << static_cast<int>(ts);
     EXPECT_EQ(r.num_blocks, 1u);
   }
@@ -44,7 +41,7 @@ TEST(TreeLabeling, KeptNodeCopiesCycleLabel) {
 TEST(TreeLabeling, MismatchedNodeGetsFreshLabel) {
   graph::Instance inst{{0, 0}, {7, 8}};
   for (auto ts : kTree) {
-    const auto r = solve(inst, with(ts, ForestStrategy::Sequential));
+    const auto r = solve(inst, with(ts));
     EXPECT_NE(r.q[0], r.q[1]);
     EXPECT_EQ(r.num_blocks, 2u);
   }
@@ -55,7 +52,7 @@ TEST(TreeLabeling, DescendantOfMismatchNeverMerges) {
   // mismatch, so 2 must NOT take the cycle label even though b[2] == b[0].
   graph::Instance inst{{0, 0, 1}, {7, 8, 7}};
   for (auto ts : kTree) {
-    const auto r = solve(inst, with(ts, ForestStrategy::Sequential));
+    const auto r = solve(inst, with(ts));
     EXPECT_NE(r.q[2], r.q[0]) << static_cast<int>(ts);
     EXPECT_EQ(r.num_blocks, 3u);
   }
@@ -72,16 +69,14 @@ TEST(TreeLabeling, WrapAroundCorrespondence) {
   // level3 (5): f^{0}... = (3 - 3%3)%3 -> rank 0 -> b=1; level4 (6): b=3; level5 (7): b=2.
   inst.b = {1, 2, 3, 3, 2, 1, 3, 2};
   for (auto ts : kTree) {
-    for (auto fs : kForest) {
-      const auto r = solve(inst, with(ts, fs));
-      // Whole path matches: everything merges with cycle labels.
-      EXPECT_EQ(r.num_blocks, 3u) << static_cast<int>(ts) << "/" << static_cast<int>(fs);
-      EXPECT_EQ(r.q[3], r.q[2]);
-      EXPECT_EQ(r.q[4], r.q[1]);
-      EXPECT_EQ(r.q[5], r.q[0]);
-      EXPECT_EQ(r.q[6], r.q[2]);
-      EXPECT_EQ(r.q[7], r.q[1]);
-    }
+    const auto r = solve(inst, with(ts));
+    // Whole path matches: everything merges with cycle labels.
+    EXPECT_EQ(r.num_blocks, 3u) << static_cast<int>(ts);
+    EXPECT_EQ(r.q[3], r.q[2]);
+    EXPECT_EQ(r.q[4], r.q[1]);
+    EXPECT_EQ(r.q[5], r.q[0]);
+    EXPECT_EQ(r.q[6], r.q[2]);
+    EXPECT_EQ(r.q[7], r.q[1]);
   }
 }
 
@@ -90,7 +85,7 @@ TEST(TreeLabeling, ResidualSiblingsWithEqualBMerge) {
   // do NOT match the cycle: they must share one fresh label (Lemma 4.2).
   graph::Instance inst{{0, 0, 0}, {1, 9, 9}};
   for (auto ts : kTree) {
-    const auto r = solve(inst, with(ts, ForestStrategy::Sequential));
+    const auto r = solve(inst, with(ts));
     EXPECT_EQ(r.q[1], r.q[2]);
     EXPECT_NE(r.q[1], r.q[0]);
     EXPECT_EQ(r.num_blocks, 2u);
@@ -103,13 +98,13 @@ TEST(TreeLabeling, ResidualCrossTreeMergeRequiresSameAnchor) {
   // Q-labels -> must NOT merge (Lemma 4.2's second condition).
   graph::Instance inst{{0, 1, 0, 1}, {1, 2, 9, 9}};
   for (auto ts : kTree) {
-    const auto r = solve(inst, with(ts, ForestStrategy::Sequential));
+    const auto r = solve(inst, with(ts));
     EXPECT_NE(r.q[2], r.q[3]) << static_cast<int>(ts);
   }
   // ...and with EQUAL cycle labels they must merge.
   graph::Instance inst2{{0, 1, 0, 1}, {1, 1, 9, 9}};
   for (auto ts : kTree) {
-    const auto r = solve(inst2, with(ts, ForestStrategy::Sequential));
+    const auto r = solve(inst2, with(ts));
     EXPECT_EQ(r.q[2], r.q[3]) << static_cast<int>(ts);
   }
 }
@@ -119,11 +114,8 @@ TEST(TreeLabeling, DeepResidualChains) {
   const auto inst = util::long_tail(5000, 7, 2, rng);
   const auto oracle = solve_naive_refinement(inst);
   for (auto ts : kTree) {
-    for (auto fs : kForest) {
-      const auto r = solve(inst, with(ts, fs));
-      EXPECT_TRUE(core::same_partition(r.q, oracle.q))
-          << static_cast<int>(ts) << "/" << static_cast<int>(fs);
-    }
+    const auto r = solve(inst, with(ts));
+    EXPECT_TRUE(core::same_partition(r.q, oracle.q)) << static_cast<int>(ts);
   }
 }
 
@@ -133,10 +125,7 @@ TEST(TreeLabeling, DeepResidualChains) {
 void expect_level_synchronous_matches_sequential(const graph::Instance& inst) {
   const auto want = solve(inst, Options::sequential()).q;
   const pram::ScopedContext pooled(pram::ExecutionContext{}.with_threads(2).with_grain(64));
-  for (auto fs : kForest) {
-    EXPECT_EQ(solve(inst, with(TreeLabelStrategy::LevelSynchronous, fs)).q, want)
-        << static_cast<int>(fs);
-  }
+  EXPECT_EQ(solve(inst, with(TreeLabelStrategy::LevelSynchronous)).q, want);
 }
 
 TEST(LevelSynchronous, LongTailsMatchSequential) {
@@ -195,27 +184,24 @@ TEST(LevelSynchronous, ClassSpansSeveralLevels) {
   EXPECT_TRUE(core::same_partition(r.q, solve_naive_refinement(inst).q));
 }
 
-class TreeLabelingSweep
-    : public ::testing::TestWithParam<std::tuple<TreeLabelStrategy, ForestStrategy>> {};
+class TreeLabelingSweep : public ::testing::TestWithParam<TreeLabelStrategy> {};
 
 TEST_P(TreeLabelingSweep, MatchesOracleOnRandomAndShapedInstances) {
-  const auto [ts, fs] = GetParam();
-  util::Rng rng(static_cast<u64>(static_cast<int>(ts)) * 97 + static_cast<int>(fs));
+  const TreeLabelStrategy ts = GetParam();
+  util::Rng rng(static_cast<u64>(static_cast<int>(ts)) * 97);
   for (int iter = 0; iter < 20; ++iter) {
     const auto inst = util::random_function(1 + rng.below(1200), 1 + rng.below_u32(4), rng);
-    const auto r = solve(inst, with(ts, fs));
+    const auto r = solve(inst, with(ts));
     const auto oracle = solve_naive_refinement(inst);
     EXPECT_EQ(r.num_blocks, oracle.num_blocks);
     EXPECT_TRUE(core::same_partition(r.q, oracle.q)) << "iter " << iter;
   }
   const auto shaped = util::mergeable(2000, 3, rng);
-  const auto r = solve(shaped, with(ts, fs));
+  const auto r = solve(shaped, with(ts));
   EXPECT_TRUE(core::same_partition(r.q, solve_naive_refinement(shaped).q));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllCombos, TreeLabelingSweep,
-    ::testing::Combine(::testing::ValuesIn(kTree), ::testing::ValuesIn(kForest)));
+INSTANTIATE_TEST_SUITE_P(AllCombos, TreeLabelingSweep, ::testing::ValuesIn(kTree));
 
 }  // namespace
 }  // namespace sfcp
